@@ -18,8 +18,7 @@ modes and writes ``BENCH_analysis.json`` at the repo root:
   store, the dataflow never runs.
 
 The JSON carries per-program walls for all three modes plus aggregate
-solver counters (hit rates computed from summed hits/lookups, never a
-mean of per-program rates), the ``bitset_cold_wall_s``/``bitset_warm_wall_s``
+solver counters, the ``bitset_cold_wall_s``/``bitset_warm_wall_s``
 column pair naming the bitset kernel path's cold/warm totals, and a
 ``kernel`` microbenchmark section (join + gen/kill transfer throughput on
 synthetic fact bitsets, informational). Future PRs re-run this after
@@ -63,9 +62,8 @@ REGRESSION_FACTOR = 1.25
 JSON_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_analysis.json")
 
 AGGREGATE_KEYS = (
-    "dataflow_steps", "summary_runs", "transfer_cache_hits",
-    "transfer_cache_misses", "transfer_cache_stale", "mask_hits",
-    "mask_fallbacks", "summaries_from_disk", "sections_from_disk",
+    "dataflow_steps", "summary_runs", "mask_hits", "mask_fallbacks",
+    "summaries_from_disk", "sections_from_disk",
 )
 
 # Synthetic fact-universe size for the kernel microbenchmark.
@@ -166,8 +164,6 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
             "dataflow_s": round(profile.dataflow_time, 4),
             "sections": profile.sections,
             "dataflow_steps": profile.dataflow_steps,
-            "transfer_cache_hit_rate": round(
-                profile.transfer_cache_hit_rate, 3),
             "mask_hit_rate": round(profile.mask_hit_rate, 3),
             "fact_terms": profile.fact_terms,
             "peak_bitset_popcount": profile.peak_bitset_popcount,
@@ -175,10 +171,6 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
         for key in AGGREGATE_KEYS:
             aggregate[key] += getattr(profile, key)
             warm_aggregate[key] += getattr(warm_profile, key)
-    lookups = (aggregate["transfer_cache_hits"]
-               + aggregate["transfer_cache_misses"])
-    aggregate["transfer_cache_hit_rate"] = round(
-        aggregate["transfer_cache_hits"] / lookups, 4) if lookups else 0.0
     return {
         "benchmark": "table1-k9-column",
         "quick": quick,
@@ -209,13 +201,12 @@ def measure(quick: bool = False, jobs: int = PARALLEL_JOBS):
 def render(report) -> str:
     lines = [f"{'Program':12s} {'cold (s)':>9s} {'par (s)':>9s} "
              f"{'warm (s)':>9s} {'sections':>9s} {'steps':>9s} "
-             f"{'cache hit':>10s} {'mask hit':>9s}"]
+             f"{'mask hit':>9s}"]
     for name, row in sorted(report["programs"].items()):
         lines.append(
             f"{name:12s} {row['wall_s']:9.3f} {row['parallel_s']:9.3f} "
             f"{row['warm_s']:9.3f} {row['sections']:9d} "
             f"{row['dataflow_steps']:9d} "
-            f"{row['transfer_cache_hit_rate']:10.1%} "
             f"{row['mask_hit_rate']:9.1%}"
         )
     lines.append(

@@ -1,6 +1,6 @@
 """Call-graph condensation for the summary scheduler.
 
-Function summaries (:mod:`repro.inference.engine`) depend only on the
+Function summaries (:mod:`repro.inference.solver`) depend only on the
 summaries of (transitive) callees, so the natural evaluation order is
 bottom-up over the condensation of the call graph: condense the defined
 functions into strongly connected components (mutual recursion), then

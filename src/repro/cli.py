@@ -9,7 +9,7 @@ Commands:
   analysis cache (on by default, rooted next to the bench result cache)
   makes warm reruns of an unchanged file skip the dataflow outright;
   ``--profile`` appends the AnalysisProfile (phase timers, per-SCC
-  timings, solver counters, transfer-cache and disk-cache hit rates,
+  timings, solver counters, disk-cache traffic,
   the bitset kernel's mask-hit rate / fallback count / fact-interner
   size / peak IN-set popcount, alias-class cache traffic, intern-table
   sizes);
@@ -538,11 +538,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     import json
     import os
 
+    from .obs.events import SchemaError
     from .obs.export import load_events, summarize, to_chrome
 
     try:
         events = load_events(args.file)
-    except OSError as err:
+    except (OSError, SchemaError) as err:
         print(err, file=sys.stderr)
         return 2
     if not events:

@@ -11,8 +11,10 @@ from .analysis import (
 )
 from .budget import AnalysisBudget, BudgetExhausted, CheckpointPolicy
 from .diskcache import AnalysisDiskCache, analysis_salt, open_cache
-from .engine import Engine, SectionLocks, SummaryResult
+from .engine import SectionLocks, SummaryResult
+from .kernel import Engine
 from .libspec import ExternalSpec, SpecLibrary, reachable_classes
+from .reference import ReferenceEngine
 from .schedule import PrecomputeReport, precompute_summaries
 from .transform import (
     transform_global,
@@ -32,6 +34,7 @@ __all__ = [
     "BudgetExhausted",
     "CheckpointPolicy",
     "Engine",
+    "ReferenceEngine",
     "SectionLocks",
     "SummaryResult",
     "AnalysisDiskCache",

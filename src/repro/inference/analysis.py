@@ -18,6 +18,7 @@ Two performance-oriented entry points sit alongside it:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -32,9 +33,12 @@ from ..pointer.steensgaard import PointsTo
 from ..sim.deadline import DeadlineExceeded
 from . import diskcache
 from .budget import AnalysisBudget, BudgetExhausted, CheckpointPolicy
-from .engine import STAT_NAMES, Engine, SectionLocks
+from .engine import SectionLocks
+from .kernel import Engine
 from .libspec import SpecLibrary
+from .reference import ReferenceEngine
 from .schedule import precompute_summaries
+from .solver import STAT_NAMES, SummarySolver
 
 
 @dataclass
@@ -85,13 +89,13 @@ class AnalysisProfile:
     ``pointer_time`` report the shared front half's one-time cost, which a
     sweep pays once, not per configuration.
     Counter semantics: ``dataflow_steps`` counts transfer-function
-    *executions*, ``transfer_cache_hits`` counts call-node transfers
-    answered from the whole-set cache instead, ``mask_hits`` /
-    ``mask_fallbacks`` split the bitset kernel's statement transfers into
-    visits served entirely by precomputed masks/memos vs visits that had
-    to build at least one per-term memo entry, ``summary_runs`` counts
-    whole-function summary dataflows, and ``section_reruns`` counts region
-    re-analyses forced by a changed summary dependency.  ``fact_terms`` is
+    executions; on the bitset kernel ``call_transfers`` of them are call
+    nodes and ``mask_hits`` / ``mask_fallbacks`` split the statement
+    transfers into visits served entirely by precomputed masks/memos vs
+    visits that had to build at least one per-term memo entry (the three
+    partition the steps), ``summary_runs`` counts whole-function summary
+    dataflows, and ``section_reruns`` counts region re-analyses forced by
+    a changed summary dependency.  ``fact_terms`` is
     the size of the run's fact interner (each term carries an ro and an rw
     fact ID) and ``peak_bitset_popcount`` the largest converged IN set.
     """
@@ -110,9 +114,7 @@ class AnalysisProfile:
     dataflow_steps: int = 0
     summary_runs: int = 0
     section_reruns: int = 0
-    transfer_cache_hits: int = 0
-    transfer_cache_misses: int = 0
-    transfer_cache_stale: int = 0
+    call_transfers: int = 0
     mask_hits: int = 0
     mask_fallbacks: int = 0
     fact_terms: int = 0
@@ -141,11 +143,6 @@ class AnalysisProfile:
                 + self.dataflow_time + self.cache_io_time)
 
     @property
-    def transfer_cache_hit_rate(self) -> float:
-        tried = self.transfer_cache_hits + self.transfer_cache_misses
-        return self.transfer_cache_hits / tried if tried else 0.0
-
-    @property
     def mask_hit_rate(self) -> float:
         visits = self.mask_hits + self.mask_fallbacks
         return self.mask_hits / visits if visits else 0.0
@@ -168,10 +165,7 @@ class AnalysisProfile:
         lines.extend([
             f"  dataflow:                {self.dataflow_time:.3f}s",
             f"  sections analyzed:       {self.sections}",
-            f"  dataflow steps:          {self.dataflow_steps}"
-            f" (+{self.transfer_cache_hits} cached,"
-            f" {self.transfer_cache_hit_rate:.0%} hit rate,"
-            f" {self.transfer_cache_stale} stale)",
+            f"  dataflow steps:          {self.dataflow_steps}",
             f"  summary runs:            {self.summary_runs}",
             f"  section reruns:          {self.section_reruns}",
         ])
@@ -213,45 +207,10 @@ class AnalysisProfile:
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "k": self.k,
-            "use_effects": self.use_effects,
-            "jobs": self.jobs,
-            "front_time": self.front_time,
-            "front_shared": self.front_shared,
-            "front_from_disk": self.front_from_disk,
-            "pointer_time": self.pointer_time,
-            "schedule_time": self.schedule_time,
-            "dataflow_time": self.dataflow_time,
-            "cache_io_time": self.cache_io_time,
-            "total_time": self.total_time,
-            "sections": self.sections,
-            "dataflow_steps": self.dataflow_steps,
-            "summary_runs": self.summary_runs,
-            "section_reruns": self.section_reruns,
-            "transfer_cache_hits": self.transfer_cache_hits,
-            "transfer_cache_misses": self.transfer_cache_misses,
-            "transfer_cache_stale": self.transfer_cache_stale,
-            "mask_hits": self.mask_hits,
-            "mask_fallbacks": self.mask_fallbacks,
-            "fact_terms": self.fact_terms,
-            "peak_bitset_popcount": self.peak_bitset_popcount,
-            "alias_class_hits": self.alias_class_hits,
-            "alias_class_misses": self.alias_class_misses,
-            "summaries_from_disk": self.summaries_from_disk,
-            "sections_from_disk": self.sections_from_disk,
-            "scc_count": self.scc_count,
-            "level_count": self.level_count,
-            "sccs_run": self.sccs_run,
-            "level_times": list(self.level_times),
-            "scc_times": dict(self.scc_times),
-            "interned_terms": dict(self.interned_terms),
-            "degraded_sections": self.degraded_sections,
-            "budget_reason": self.budget_reason,
-            "checkpoints": self.checkpoints,
-            "levels_skipped": self.levels_skipped,
-            "resumed_from_level": self.resumed_from_level,
-        }
+        """Every field (containers copied) plus the derived ``total_time``."""
+        data = dataclasses.asdict(self)
+        data["total_time"] = self.total_time
+        return data
 
 
 class SharedAnalysis:
@@ -303,16 +262,15 @@ class SharedAnalysis:
                                   self.pointsto)
 
 
-_SHARED_CACHE: Dict[int, SharedAnalysis] = {}
+_SHARED_CACHE: Dict[str, SharedAnalysis] = {}
 
 
 def shared_analysis(source: str) -> SharedAnalysis:
     """Memoized :class:`SharedAnalysis` per source text (sweep helper)."""
-    key = hash(source)
-    cached = _SHARED_CACHE.get(key)
+    cached = _SHARED_CACHE.get(source)
     if cached is None:
         cached = SharedAnalysis(source)
-        _SHARED_CACHE[key] = cached
+        _SHARED_CACHE[source] = cached
     return cached
 
 
@@ -403,7 +361,10 @@ class LockInference:
         self.allow_partial = allow_partial
         self.checkpoint_every = max(0, checkpoint_every)
         self.on_checkpoint = on_checkpoint
-        self.cache_dir = cache_dir if enable_caches else None
+        # False selects the reference engine, the oracle of the equivalence
+        # suites; an oracle must compute its answers, so it gets no cache
+        self._engine_cls = Engine if enable_caches else ReferenceEngine
+        self.cache_dir = cache_dir if self._engine_cls is Engine else None
         self._front_time = 0.0
         if isinstance(program, SharedAnalysis):
             self.shared: Optional[SharedAnalysis] = program
@@ -425,7 +386,6 @@ class LockInference:
         self.use_effects = use_effects
         self.specs = specs
         self.alias = alias
-        self.enable_caches = enable_caches
 
     def run(self) -> InferenceResult:
         with trace.span("analysis.run", "inference", k=self.k,
@@ -440,8 +400,7 @@ class LockInference:
             cfgs = self.shared.cfgs
             pointer_time = self.shared.pointer_time
             profile.front_shared = True
-            profile.front_from_disk = getattr(
-                self.shared, "front_from_disk", False)
+            profile.front_from_disk = self.shared.front_from_disk
             profile.front_time = self.shared.front_time
         else:
             with trace.timed("analysis.pointer", "inference") as pointer_span:
@@ -484,10 +443,10 @@ class LockInference:
             profile.cache_io_time += open_span.duration
         if self.budget is not None:
             self.budget.arm()
-        engine = Engine(self.program, cfgs, pointsto, k=self.k,
-                        use_effects=self.use_effects, specs=self.specs,
-                        oracle=oracle, enable_caches=self.enable_caches,
-                        disk_cache=disk, budget=self.budget)
+        engine = self._engine_cls(
+            self.program, cfgs, pointsto, k=self.k,
+            use_effects=self.use_effects, specs=self.specs, oracle=oracle,
+            disk_cache=disk, budget=self.budget)
         if self.allow_partial:
             # a partial unwind may persist converged summaries, so the
             # engine must track its drained-worklist safe points
@@ -545,7 +504,7 @@ class LockInference:
         profile.peak_bitset_popcount = engine.peak_bits
         profile.alias_class_hits = engine.oracle.stats["class_hits"]
         profile.alias_class_misses = engine.oracle.stats["class_misses"]
-        # the registry's cross-counter invariants (transfer-cache partition)
+        # the registry's cross-counter invariants (the transfer partition)
         # are enforced at this collection point; python -O downgrades the
         # failure to a returned report
         engine.metrics.check_invariants()
@@ -556,7 +515,7 @@ class LockInference:
         return result
 
     def _degrade(self, result: InferenceResult, cfgs: Dict[str, CFG],
-                 engine: Engine, reason: str) -> None:
+                 engine: SummarySolver, reason: str) -> None:
         """Finish a budget-exhausted run soundly: every section whose
         backward pass has not converged gets the lattice top ``[(⊤, X)]``
         — the global exclusive lock protects every access, so Theorem 1

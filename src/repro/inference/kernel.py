@@ -1,0 +1,249 @@
+"""The bitset engine: the §4 rules compiled to gen/kill kernels over ints.
+
+Every ``(term, effect)`` fact is interned to a dense per-run ID (see
+:mod:`repro.inference.facts`): per-node IN/OUT sets are arbitrary-precision
+``int``s, the join is a single bitwise OR and fixpoint change detection is
+integer equality.  On top of that representation, each of these is
+result-preserving (:mod:`repro.inference.reference` is the oracle) and
+listed in ``docs/PERFORMANCE.md`` beside the measurement that keeps it:
+
+* statement transfers are distributive over the fact set and
+  effect-linear (:meth:`TransferSpec.pre_image`), so each node gets a
+  **gen/kill kernel**: its :class:`~repro.inference.transfer.NodeRule`'s
+  G set as a precomputed bitset, plus an *identity mask* of fact pairs
+  proven to pass through the node's write unchanged — a repeat visit is
+  two integer ops — with a **per-term memo** of pre-image bits and coarse
+  emissions for the non-identity remainder (the per-fact fallback path);
+* the kill side of a (write, scope) pair — its pre-image
+  :class:`~repro.inference.subst.Substituter` and the memo built from it
+  — is shared by every node performing that write and persists across
+  fixpoint iterations;
+* sections converge by **dependency-driven invalidation**: a section is
+  re-run only when a summary it actually demanded changed, not whenever
+  any summary anywhere moved.
+
+Call nodes are not distributive — they read the summary table — so they
+decode, run :meth:`TransferSpec.call_transfer`, and encode again.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Dict, Iterable, Optional, Tuple
+
+from ..cfg import Node, SectionInfo
+from ..locks.effects import RO, RW
+from .facts import FactInterner, popcount
+from .solver import DEADLINE_POLL_EVERY, Run, SummarySolver
+from .subst import Substituter, WriteInfo
+from .transfer import CoarseSet, Emissions, TermSet, is_call
+
+
+class _KillKernel:
+    """The kill side of one ``(WriteInfo, scope)`` pair's transfer.
+
+    ``identity_mask`` covers the fact pairs proven to pass through the
+    write unchanged; it starts empty and grows as ``_build_fact_memo``
+    discovers identities, so a warmed-up visit is
+    ``(out & identity_mask) | gen_bits``.  ``memo`` holds the per-term
+    pre-image for everything else (keyed by term ID; one entry serves both
+    effects — see ``Engine._build_fact_memo``).  Kill kernels are shared by
+    every node performing the same write in the same scope — and by a
+    node's ``with_g`` on/off kernel variants — so each (write, term)
+    pre-image is computed once per engine.
+    """
+
+    __slots__ = ("func", "sub", "identity_mask", "memo")
+
+    def __init__(self, func: str, sub: Substituter) -> None:
+        self.func = func
+        self.sub = sub
+        self.identity_mask = 0
+        self.memo: Dict[int, Tuple[int, tuple]] = {}
+
+
+class _NodeKernel:
+    """One statement node's precomputed transfer: a constant gen side
+    (bitset + coarse emissions, replayed per visit) over a shared
+    :class:`_KillKernel` (``None`` for write-less nodes, whose transfer is
+    pure passthrough-plus-gen)."""
+
+    __slots__ = ("kill", "gen_bits", "gen_coarse")
+
+    def __init__(self, kill: Optional[_KillKernel], gen_bits: int,
+                 gen_coarse: CoarseSet) -> None:
+        self.kill = kill
+        self.gen_bits = gen_bits
+        self.gen_coarse = gen_coarse
+
+
+class Engine(SummarySolver):
+    """Bitset dataflow driver (the default engine)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._interner = FactInterner()
+        self._kill_kernels: Dict[Tuple[WriteInfo, str], _KillKernel] = {}
+        # per-(node, with_g) kernels; ``Node.uid`` is only unique within
+        # one function's CFG, so they key on the node object's id (the
+        # cfgs keep every node alive)
+        self._kernels: Dict[Tuple[int, bool], _NodeKernel] = {}
+        self.peak_bits = 0  # max popcount over any converged IN set
+        # the per-node path increments through the bundle's backing dict
+        # to skip MutableMapping dispatch
+        self._stats_raw = stats = self.stats.raw
+        # every executed transfer is exactly one call transfer, kernel
+        # mask hit, or kernel fallback — double accounting anywhere
+        # breaks this partition
+        self.metrics.add_invariant(
+            "transfer-partition",
+            lambda _reg: (stats["call_transfers"] + stats["mask_hits"]
+                          + stats["mask_fallbacks"]
+                          == stats["dataflow_steps"]),
+            lambda _reg: (
+                f"call_transfers {stats['call_transfers']} + mask_hits "
+                f"{stats['mask_hits']} + mask_fallbacks "
+                f"{stats['mask_fallbacks']} != dataflow_steps "
+                f"{stats['dataflow_steps']}"),
+        )
+
+    @property
+    def fact_terms(self) -> int:
+        """Terms in the run's fact interner."""
+        return len(self._interner)
+
+    def _converge_section(self, func_name: str, section: SectionInfo,
+                          requester: tuple) -> Tuple[TermSet, Emissions]:
+        # re-run the region only when a summary this section demanded (now
+        # or in a previous iteration; _deps persists) changed in the solve
+        while True:
+            run = Run(self, requester)
+            entry_terms = self._dataflow(func_name, section.nodes,
+                                         section.enter, run)
+            changed = self._solve_summaries()
+            deps = self._deps
+            if not any(requester in deps.get(key, ()) for key in changed):
+                return entry_terms, run.coarse
+            self.stats["section_reruns"] += 1
+
+    def _dataflow(self, func_name: str, nodes: Iterable[Node], entry: Node,
+                  run: Run, with_g: bool = True, exit: Optional[Node] = None,
+                  seed: Optional[TermSet] = None) -> TermSet:
+        rank = self._backward_rank(func_name)
+        in_bits: Dict[int, int] = {n.uid: 0 for n in nodes}
+        if exit is not None:
+            in_bits[exit.uid] = self._interner.encode(seed)
+        worklist = [(rank[n.uid], n.uid, n) for n in nodes]
+        heapq.heapify(worklist)
+        queued = set(in_bits)
+        transfer = self._transfer
+        pops = 0
+        while worklist:
+            pops += 1
+            if not pops % DEADLINE_POLL_EVERY:
+                self.poll()
+            _, uid, node = heapq.heappop(worklist)
+            queued.discard(uid)
+            if node is exit:
+                continue
+            out = 0
+            for succ in node.succs:
+                out |= in_bits.get(succ.uid, 0)
+            new_in = transfer(func_name, node, out, run, with_g)
+            if new_in != in_bits[uid]:
+                in_bits[uid] = new_in
+                for pred in node.preds:
+                    if pred.uid in in_bits and pred.uid not in queued:
+                        queued.add(pred.uid)
+                        heapq.heappush(
+                            worklist, (rank[pred.uid], pred.uid, pred))
+        self.peak_bits = max(self.peak_bits,
+                             max(map(popcount, in_bits.values()), default=0))
+        return self._interner.decode(in_bits[entry.uid])
+
+    def _transfer(self, func_name: str, node: Node, out_bits: int, run: Run,
+                  with_g: bool) -> int:
+        raw = self._stats_raw
+        raw["dataflow_steps"] += 1
+        if is_call(node):
+            raw["call_transfers"] += 1
+            interner = self._interner
+            return interner.encode(self.spec.call_transfer(
+                func_name, node.instr, interner.decode(out_bits), run,
+                with_g))
+        kern = self._kernels.get((id(node), with_g))
+        if kern is None:
+            kern = self._build_kernel(func_name, node, with_g)
+        if kern.gen_coarse:
+            run.coarse |= kern.gen_coarse
+        gen = kern.gen_bits
+        kill = kern.kill
+        if kill is None:
+            # write-less node: every fact passes through untouched
+            raw["mask_hits"] += 1
+            return out_bits | gen
+        result = (out_bits & kill.identity_mask) | gen
+        rest = out_bits & ~kill.identity_mask
+        memo = kill.memo
+        fresh = False
+        while rest:
+            low = rest & -rest
+            # canonical bitsets always carry the even (presence) bit of a
+            # pair, so the lowest set bit identifies the term directly
+            tid = (low.bit_length() - 1) >> 1
+            high = low << 1
+            is_rw = bool(rest & high)
+            rest &= ~(low | high)
+            entry = memo.get(tid)
+            if entry is None:
+                fresh = True
+                entry = self._build_fact_memo(kill, tid)
+            ro_bits, classes = entry
+            if is_rw:
+                result |= ro_bits | (ro_bits << 1)
+                eff = RW
+            else:
+                result |= ro_bits
+                eff = RO
+            for cls in classes:
+                run.coarse.add((cls, eff))
+        raw["mask_fallbacks" if fresh else "mask_hits"] += 1
+        return result
+
+    def _build_kernel(self, func_name: str, node: Node,
+                      with_g: bool) -> _NodeKernel:
+        """Compile a statement node's :class:`NodeRule`: its G set is
+        constant, so the admitted terms become a fixed gen bitset and the
+        widened classes a fixed coarse set, replayed per visit."""
+        write, gens, coarse = self.spec.node_rule(func_name, node, with_g)
+        kill = None
+        if write is not None:
+            kill = self._kill_kernels.get((write, func_name))
+            if kill is None:
+                kill = self._kill_kernels[(write, func_name)] = _KillKernel(
+                    func_name, Substituter(self.oracle, write, func_name))
+        kern = self._kernels[(id(node), with_g)] = _NodeKernel(
+            kill, self._interner.encode(gens), coarse)
+        return kern
+
+    def _build_fact_memo(self, kill: _KillKernel,
+                         tid: int) -> Tuple[int, tuple]:
+        """Memoize one term's pre-image under *kill*'s write.
+
+        Statement transfers are effect-linear, so one memo entry — the
+        admitted pre-terms as an RO bitset plus the widened classes —
+        serves both effects: an RW source fact ORs in the doubled bits and
+        emits the classes at RW.  A term whose pre-image is exactly itself
+        (no widening) is promoted into the kernel's identity mask, making
+        every later visit carrying it two integer ops.
+        """
+        interner = self._interner
+        tracked, widened = self.spec.pre_image(kill.func, kill.sub,
+                                               interner.term(tid))
+        ro_bits = 0
+        for pre in tracked:
+            ro_bits |= interner.term_bit(pre)
+        entry = kill.memo[tid] = (ro_bits, tuple(set(widened)))
+        if not widened and ro_bits == 1 << (tid << 1):
+            kill.identity_mask |= ro_bits | (ro_bits << 1)
+        return entry

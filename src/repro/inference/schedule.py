@@ -21,7 +21,7 @@ bottom-up and solves every relevant access summary level by level:
 Both paths leave extra entries behind compared to pure laziness (a
 section region may not reach every call site of its function), but every
 entry holds its least-fixpoint value, so section lock sets are unchanged —
-the golden-equivalence suite pins ``jobs=4 ≡ jobs=1 ≡ enable_caches=False``.
+the golden-equivalence suite pins ``jobs=4 ≡ jobs=1 ≡ reference engine``.
 """
 
 from __future__ import annotations
@@ -38,32 +38,24 @@ from ..obs import trace
 from ..obs.events import envelope
 from ..sim.deadline import DeadlineExceeded
 from .budget import BudgetExhausted, CheckpointPolicy
-from .engine import Engine
+from .solver import STAT_NAMES, SummarySolver
 
 # The engine a forked worker process inherits; set in the parent
 # immediately before pool creation (fork start method only).
-_FORKED_ENGINE: Optional[Engine] = None
+_FORKED_ENGINE: Optional[SummarySolver] = None
 
 # A level fans out only when its summed instruction weight clears this
 # bar; below it the per-task payload pickling and dispatch latency exceed
 # the solve itself and the parent runs the level serially.
 MIN_PARALLEL_WEIGHT = 400
 
-# Worker counters folded back into the parent after each chunk.  The
-# boundary this crosses is ID-free by construction: chunk payloads and
-# result entries carry ``SummaryResult``s over hash-consed terms, never
+# Worker counters are folded back into the parent after each chunk as
+# deltas over ``STAT_NAMES`` (the section counters cannot move in a
+# worker, which only solves summaries, so theirs is 0).  The boundary
+# this crosses is ID-free by construction: chunk payloads and result
+# entries carry ``SummaryResult``s over hash-consed terms, never
 # fact-interner IDs (those are process-local — each worker's engine grows
 # its own interner), so no remap step is needed on merge.
-_MERGED_STATS = (
-    "dataflow_steps",
-    "summary_runs",
-    "transfer_cache_hits",
-    "transfer_cache_misses",
-    "transfer_cache_stale",
-    "mask_hits",
-    "mask_fallbacks",
-    "summaries_from_disk",
-)
 
 
 @dataclass
@@ -97,12 +89,12 @@ class _Checkpointer:
     no disk cache) everything degrades to the safe-point bookkeeping.
     """
 
-    def __init__(self, engine: Engine, schedule: CallSchedule,
+    def __init__(self, engine: SummarySolver, schedule: CallSchedule,
                  policy: Optional[CheckpointPolicy],
                  report: PrecomputeReport) -> None:
         self.engine = engine
         self.policy = policy
-        self.disk = engine._disk if policy is not None else None
+        self.disk = engine.disk_cache if policy is not None else None
         self.report = report
         self.levels_total = len(schedule.levels)
         self.since_flush = 0
@@ -154,7 +146,8 @@ class _Checkpointer:
         self.disk.clear_progress()
 
 
-def relevant_functions(engine: Engine, schedule: CallSchedule) -> Set[str]:
+def relevant_functions(engine: SummarySolver,
+                       schedule: CallSchedule) -> Set[str]:
     """Functions whose summaries a section analysis could demand.
 
     A section's dataflow demands summaries only at call nodes, so the
@@ -197,7 +190,7 @@ def effective_jobs(jobs: int) -> int:
 
 
 def precompute_summaries(
-    engine: Engine,
+    engine: SummarySolver,
     schedule: Optional[CallSchedule] = None,
     jobs: int = 1,
     targets: Optional[Set[str]] = None,
@@ -231,17 +224,14 @@ def precompute_summaries(
     # pull persisted bundles in first (in the parent, so a later fork shares
     # them): warm functions then drop out of the pending filter below and
     # only the dirty SCC cone is actually solved
-    if engine._disk is not None:
-        for name in sorted(targets):
-            if name not in engine._bundle_checked:
-                engine._load_bundle(name)
+    engine.preload_bundles(sorted(targets))
     # an SCC needs a solve only if a target member lacks its access summary
     pending: List[List[int]] = []
     for level in schedule.levels:
         todo = [
             idx for idx in sorted(level)
             if any(
-                name in targets and ("acc", name) not in engine._summaries
+                name in targets and not engine.has_summary(("acc", name))
                 for name in schedule.sccs[idx]
             )
         ]
@@ -278,12 +268,12 @@ def precompute_summaries(
     return report
 
 
-def _run_serial(engine: Engine, schedule: CallSchedule,
+def _run_serial(engine: SummarySolver, schedule: CallSchedule,
                 pending: List[List[int]], report: PrecomputeReport,
                 ckpt: _Checkpointer) -> None:
     for number, level in enumerate(pending):
         level_started = time.perf_counter()
-        engine._poll()  # cooperative deadline/budget between levels
+        engine.poll()  # cooperative deadline/budget between levels
         for idx in level:
             label = _scc_label(schedule.sccs[idx])
             with trace.timed("schedule.scc", "inference", scc=label,
@@ -296,7 +286,7 @@ def _run_serial(engine: Engine, schedule: CallSchedule,
             ckpt.level_done(number)
 
 
-def _scc_weight(engine: Engine, funcs: Sequence[str]) -> int:
+def _scc_weight(engine: SummarySolver, funcs: Sequence[str]) -> int:
     """Instruction count of an SCC: the fan-out cost model's work proxy."""
     total = 0
     for name in funcs:
@@ -306,8 +296,8 @@ def _scc_weight(engine: Engine, funcs: Sequence[str]) -> int:
     return total
 
 
-def _chunk_level(engine: Engine, schedule: CallSchedule, level: List[int],
-                 jobs: int) -> List[List[int]]:
+def _chunk_level(engine: SummarySolver, schedule: CallSchedule,
+                 level: List[int], jobs: int) -> List[List[int]]:
     """Partition a level's SCCs into at most *jobs* weight-balanced chunks.
 
     Greedy longest-processing-time assignment; chunks keep their SCCs in
@@ -345,7 +335,7 @@ def _solve_scc(payload: Dict[str, object]) -> Dict[str, object]:
         tracer.drain()
     engine.import_summaries(payload["summaries"])
     before = dict(engine.summary_items())
-    stats_before = {name: engine.stats[name] for name in _MERGED_STATS}
+    stats_before = {name: engine.stats[name] for name in STAT_NAMES}
     with trace.timed("schedule.chunk", "inference",
                      funcs=len(payload["funcs"])) as chunk_span:
         engine.precompute_funcs(payload["funcs"])
@@ -358,14 +348,14 @@ def _solve_scc(payload: Dict[str, object]) -> Dict[str, object]:
         "entries": entries,
         "stats": {
             name: engine.stats[name] - stats_before[name]
-            for name in _MERGED_STATS
+            for name in STAT_NAMES
         },
         "elapsed": chunk_span.duration,
         "spans": tracer.drain() if tracer.enabled else [],
     }
 
 
-def _merge_outcome(engine: Engine, delta: Dict[tuple, object],
+def _merge_outcome(engine: SummarySolver, delta: Dict[tuple, object],
                    report: PrecomputeReport, schedule: CallSchedule,
                    chunk: List[int], outcome: Dict[str, object]) -> None:
     """Adopt one worker chunk's result into the parent engine."""
@@ -384,7 +374,7 @@ def _merge_outcome(engine: Engine, delta: Dict[tuple, object],
     report.sccs_run += len(chunk)
 
 
-def _drain_finished(engine: Engine, schedule: CallSchedule,
+def _drain_finished(engine: SummarySolver, schedule: CallSchedule,
                     delta: Dict[tuple, object], report: PrecomputeReport,
                     futures, ckpt: _Checkpointer, number: int) -> None:
     """Deadline/budget expiry mid-merge must not discard the level's
@@ -407,7 +397,7 @@ def _drain_finished(engine: Engine, schedule: CallSchedule,
     ckpt.flush(number, force=True)
 
 
-def _run_parallel(engine: Engine, schedule: CallSchedule,
+def _run_parallel(engine: SummarySolver, schedule: CallSchedule,
                   pending: List[List[int]], jobs: int,
                   report: PrecomputeReport, ckpt: _Checkpointer) -> None:
     import multiprocessing
@@ -427,7 +417,7 @@ def _run_parallel(engine: Engine, schedule: CallSchedule,
         for number, level in enumerate(pending):
             if not level:
                 continue
-            engine._poll()  # parent-side poll; workers poll on their own
+            engine.poll()  # parent-side poll; workers poll on their own
             level_started = time.perf_counter()
             weight = sum(
                 _scc_weight(engine, schedule.sccs[idx]) for idx in level)

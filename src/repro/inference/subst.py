@@ -156,8 +156,8 @@ class Substituter:
     iteration, and distinct terms share subterms (which hash-consing makes
     identical objects), so ``pre_terms``/``pre_index`` hit the memo far more
     often than they recurse. A substituter's answers depend only on its
-    (write, scope, oracle) triple, so engines may cache and reuse whole
-    substituter instances across runs — see ``Engine._substituter``.
+    (write, scope, oracle) triple, so the bitset kernel keeps one per kill
+    kernel for the engine's lifetime (``repro.inference.kernel``).
     """
 
     def __init__(self, oracle: AliasOracle, write: WriteInfo,

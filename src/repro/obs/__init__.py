@@ -18,7 +18,7 @@ See ``docs/OBSERVABILITY.md`` for the span taxonomy and usage.
 """
 
 from .events import (EVENT_KINDS, SCHEMA_VERSION, EventWriter, SchemaError,
-                     envelope, upgrade_legacy, validate_event)
+                     envelope, validate_event)
 from .export import load_events, summarize, to_chrome
 from .metrics import (DEFAULT_BUCKETS, Counter, CounterBundle, Gauge,
                       Histogram, InvariantError, MetricsRegistry)
@@ -26,7 +26,7 @@ from .trace import Tracer, configure, get_tracer, instant, span, timed
 
 __all__ = [
     "EVENT_KINDS", "SCHEMA_VERSION", "EventWriter", "SchemaError",
-    "envelope", "upgrade_legacy", "validate_event",
+    "envelope", "validate_event",
     "load_events", "summarize", "to_chrome",
     "DEFAULT_BUCKETS", "Counter", "CounterBundle", "Gauge", "Histogram",
     "InvariantError", "MetricsRegistry",

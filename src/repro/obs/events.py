@@ -15,9 +15,9 @@ v1 a strict superset of the pre-envelope formats: old consumers that read
 fields beyond a kind's required set are allowed — the chaos harness tags
 ``program``/``fault``/``seed`` context onto resilience events.
 
-:func:`upgrade_legacy` is the compatibility shim for the other direction:
-it lifts a pre-envelope record (no ``v``) into v1 so old JSONL files load
-through the same exporters.
+Nothing in the repo writes or reads any other version: a record whose
+``v`` is not ``SCHEMA_VERSION`` is rejected where it is loaded
+(:func:`repro.obs.export.load_events`), not upgraded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "SchemaError",
     "envelope",
     "validate_event",
-    "upgrade_legacy",
     "EventWriter",
 ]
 
@@ -177,26 +176,6 @@ def validate_event(record: Dict[str, object]) -> None:
                 f"{kind}: field {field!r} has type "
                 f"{type(value).__name__}, expected "
                 f"{'/'.join(t.__name__ for t in types)}")
-
-
-def upgrade_legacy(record: Dict[str, object]) -> Dict[str, object]:
-    """Lift a pre-envelope record into v1 (compatibility shim).
-
-    Already-versioned records pass through untouched.  Legacy records gain
-    ``v``, a ``source`` inferred from the kind registry (``"external"``
-    when unknown), and a ``ts`` of 0.0 when absent (resilience events
-    carried only ticks).
-    """
-    if record.get("v") == SCHEMA_VERSION:
-        return record
-    upgraded = dict(record)
-    upgraded["v"] = SCHEMA_VERSION
-    kind = record.get("event")
-    spec = EVENT_KINDS.get(kind) if isinstance(kind, str) else None
-    upgraded.setdefault("source", spec.source if spec else "external")
-    if not isinstance(upgraded.get("ts"), _NUM):
-        upgraded["ts"] = 0.0
-    return upgraded
 
 
 class EventWriter:

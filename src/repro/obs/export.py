@@ -21,20 +21,33 @@ import json
 from collections import defaultdict
 from typing import Dict, Iterable, List, Tuple
 
-from .events import upgrade_legacy, validate_event
+from .events import SCHEMA_VERSION, SchemaError, validate_event
 
 __all__ = ["load_events", "to_chrome", "summarize"]
 
 
 def load_events(path: str, validate: bool = False) -> List[Dict[str, object]]:
-    """Load a JSONL event stream, lifting legacy records into envelope v1."""
+    """Load a v1 JSONL event stream.
+
+    Fails closed: a line that is not a JSON object stamped with
+    ``SCHEMA_VERSION`` raises :class:`SchemaError` naming the line.
+    """
     events = []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
-            record = upgrade_legacy(json.loads(line))
+            try:
+                record = json.loads(line)
+            except ValueError as err:
+                raise SchemaError(
+                    f"{path}:{number}: not a JSON record ({err})") from None
+            version = record.get("v") if isinstance(record, dict) else None
+            if version != SCHEMA_VERSION:
+                raise SchemaError(
+                    f"{path}:{number}: schema version {version!r}, "
+                    f"expected {SCHEMA_VERSION}")
             if validate:
                 validate_event(record)
             events.append(record)

@@ -10,8 +10,7 @@ engine core built on it:
   changing their meaning (the remap round-trip property);
 * **engine equivalence** (hypothesis over k ∈ {0, 1, 9} × effects on/off,
   exhaustively per benchmark program) — the bitset engine's section locks
-  render byte-identically to the set-based reference engine
-  (``enable_caches=False``).
+  render byte-identically to the set-based ``ReferenceEngine``.
 
 FactInterner unit tests (ID stability, reverse lookup, canonical bit
 patterns) anchor the properties on pinned examples.
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.bench import ALL_BENCHMARKS
 from repro.cfg import build_cfgs
-from repro.inference import Engine
+from repro.inference import Engine, ReferenceEngine
 from repro.inference.facts import FactInterner, popcount
 from repro.lang import lower_program, parse_program
 from repro.locks.effects import RO, RW, eff_join
@@ -161,9 +160,8 @@ def _front(name):
     return _FRONT_CACHE[name]
 
 
-def _rendered_locks(program, cfgs, pointsto, k, use_effects, enable_caches):
-    engine = Engine(program, cfgs, pointsto, k=k, use_effects=use_effects,
-                    enable_caches=enable_caches)
+def _rendered_locks(engine_cls, program, cfgs, pointsto, k, use_effects):
+    engine = engine_cls(program, cfgs, pointsto, k=k, use_effects=use_effects)
     out = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
@@ -179,6 +177,8 @@ def _rendered_locks(program, cfgs, pointsto, k, use_effects, enable_caches):
 @given(k=st.sampled_from((0, 1, 9)), use_effects=st.booleans())
 def test_bitset_engine_matches_reference(name, k, use_effects):
     program, pointsto, cfgs = _front(name)
-    optimized = _rendered_locks(program, cfgs, pointsto, k, use_effects, True)
-    reference = _rendered_locks(program, cfgs, pointsto, k, use_effects, False)
+    optimized = _rendered_locks(Engine, program, cfgs, pointsto, k,
+                                use_effects)
+    reference = _rendered_locks(ReferenceEngine, program, cfgs, pointsto, k,
+                                use_effects)
     assert optimized == reference, f"{name} k={k} effects={use_effects}"

@@ -1,32 +1,50 @@
 """Golden equivalence: the optimized engine must match the naive engine.
 
 The performance layer (term interning, the bitset dataflow kernel with its
-gen/kill masks, substituter memoization, call-node transfer caching,
-dependency-driven section convergence) is required to be
-*result-preserving*: for every benchmark program and every configuration
-(k ∈ {0, 1, 3, 9}, effects on/off) the optimized engine must produce lock
-sets identical — down to the rendered text — to the reference engine with
-``enable_caches=False`` (the seed's restart-until-globally-stable loop and
+gen/kill masks and per-term memos, dependency-driven section convergence)
+is required to be *result-preserving*: for every benchmark program and
+every configuration (k ∈ {0, 1, 3, 9}, effects on/off) the optimized
+engine must produce lock sets identical — down to the rendered text — to
+``ReferenceEngine`` (the seed's restart-until-globally-stable loop and
 uncached, set-based transfer functions).
 
 Both engines share one parse/lower/points-to front half per program so
 points-to class ids are comparable across runs.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench import ALL_BENCHMARKS
 from repro.cfg import build_cfgs
-from repro.inference import Engine
+from repro.inference import Engine, ReferenceEngine
 from repro.lang import lower_program, parse_program
 from repro.pointer import PointsTo
 
 KS = (0, 1, 3, 9)
 
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# Import ``repro.inference.reference`` in a fresh interpreter and list the
+# ``repro.inference`` modules that came with it.  The two package
+# ``__init__``s are replaced by bare path-only packages: they export both
+# engines, so running them would load the kernel whatever the reference
+# module itself imports.
+_IMPORT_PROBE = """
+import os, sys, types
+for name in ("repro", "repro.inference"):
+    package = types.ModuleType(name)
+    package.__path__ = [os.path.join(sys.argv[1], *name.split("."))]
+    sys.modules[name] = package
+import repro.inference.reference
+print(*sorted(m for m in sys.modules if m.startswith("repro.inference.")))
+"""
 
-def _section_locks(program, cfgs, pointsto, k, use_effects, enable_caches):
-    engine = Engine(program, cfgs, pointsto, k=k, use_effects=use_effects,
-                    enable_caches=enable_caches)
+
+def _section_locks(engine_cls, program, cfgs, pointsto, k, use_effects):
+    engine = engine_cls(program, cfgs, pointsto, k=k, use_effects=use_effects)
     out = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
@@ -43,10 +61,10 @@ def test_optimized_engine_matches_reference(name):
     cfgs = build_cfgs(program)
     for k in KS:
         for use_effects in (True, False):
-            optimized = _section_locks(program, cfgs, pointsto, k,
-                                       use_effects, True)
-            reference = _section_locks(program, cfgs, pointsto, k,
-                                       use_effects, False)
+            optimized = _section_locks(Engine, program, cfgs, pointsto, k,
+                                       use_effects)
+            reference = _section_locks(ReferenceEngine, program, cfgs,
+                                       pointsto, k, use_effects)
             assert optimized.keys() == reference.keys()
             for section_id in reference:
                 assert optimized[section_id] == reference[section_id], (
@@ -65,23 +83,25 @@ def test_reference_engine_reports_no_cache_activity():
     program = lower_program(parse_program(spec.source))
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
-    engine = Engine(program, cfgs, pointsto, k=9, enable_caches=False)
+    engine = ReferenceEngine(program, cfgs, pointsto, k=9)
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
-    assert engine.stats["transfer_cache_hits"] == 0
-    assert engine.stats["transfer_cache_misses"] == 0
+    assert engine.stats["dataflow_steps"] > 0
+    assert engine.stats["call_transfers"] == 0
     assert engine.stats["mask_hits"] == 0
     assert engine.stats["mask_fallbacks"] == 0
-    # the reference path must stay pure: no substituter reuse, no call
-    # cache, no kernels, and no fact interner (bitsets never touched)
-    assert not engine._substituters
-    assert not engine._transfer_cache
-    assert not engine._kernels
-    assert not engine._kill_kernels
-    assert engine._interner is None
     assert engine.fact_terms == 0
     assert engine.peak_bits == 0
+    # the reference path must stay pure — no kernels, no fact interner —
+    # and structurally so: its import closure cannot reach them
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, _SRC],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "repro.inference.transfer" in loaded
+    assert "repro.inference.kernel" not in loaded
+    assert "repro.inference.facts" not in loaded
 
 
 def test_optimized_engine_actually_caches():
@@ -97,6 +117,6 @@ def test_optimized_engine_actually_caches():
     # served by the identity-mask/memo fast path, not per-fact fallbacks
     assert engine.stats["mask_hits"] > 0
     assert engine.stats["mask_fallbacks"] > 0
-    assert engine.stats["transfer_cache_misses"] > 0  # call nodes cache
+    assert engine.stats["call_transfers"] > 0
     assert engine.fact_terms > 0
     assert engine.peak_bits > 0

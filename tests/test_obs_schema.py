@@ -23,9 +23,9 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     SchemaError,
     envelope,
-    upgrade_legacy,
     validate_event,
 )
+from repro.obs.export import load_events
 from repro.runtime.manager import LockManager
 from repro.runtime.resilience import ResilienceConfig, ResilienceRuntime
 
@@ -96,18 +96,26 @@ def test_wrong_source_and_version_rejected():
         envelope("not-a-kind")
 
 
-def test_upgrade_legacy_records():
-    legacy = {"event": "rollback", "tick": 7, "tid": 1, "section": "s#1"}
-    lifted = upgrade_legacy(legacy)
-    assert lifted["v"] == SCHEMA_VERSION
-    assert lifted["source"] == "resilience"
-    assert lifted["ts"] == 0.0
-    validate_event(lifted)
-    # unknown kinds still load (external streams), just unvalidatable
-    assert upgrade_legacy({"event": "mystery"})["source"] == "external"
-    # already-versioned records pass through untouched
-    fresh = _sample_record("canary")
-    assert upgrade_legacy(fresh) is fresh
+def test_load_events_rejects_other_versions(tmp_path):
+    """No pre-v1 stream exists any more: a line that is not a v1 record is
+    an error naming the line, not something to upgrade."""
+    path = tmp_path / "events.jsonl"
+    good = json.dumps(_sample_record("canary"))
+    legacy = json.dumps({"event": "rollback", "tick": 7, "tid": 1,
+                         "section": "s#1"})
+    path.write_text(f"{good}\n\n{legacy}\n")
+    with pytest.raises(SchemaError, match=r"events\.jsonl:3: schema "
+                                          r"version None, expected 1"):
+        load_events(str(path))
+    path.write_text(json.dumps(dict(_sample_record("canary"), v=2)) + "\n")
+    with pytest.raises(SchemaError, match=r":1: schema version 2"):
+        load_events(str(path))
+    path.write_text(f"{good}\n{{truncated\n")
+    with pytest.raises(SchemaError, match=r":2: not a JSON record"):
+        load_events(str(path))
+    path.write_text(f"{good}\n")
+    assert [e["event"] for e in load_events(str(path), validate=True)] == [
+        "canary"]
 
 
 # regex over the source tree: a kind literal at an emit call site

@@ -158,23 +158,17 @@ def test_summarize_correlates_sections_and_locks():
     assert "50.0%" in text  # 20 of 40 open ticks
 
 
-def test_load_events_upgrades_legacy_lines(tmp_path):
-    path = tmp_path / "old.jsonl"
-    path.write_text(
-        json.dumps({"event": "cell-start", "cell": {}, "label": "c",
-                    "config": "global", "threads": 2, "attempt": 1,
-                    "ts": 1.0}) + "\n"
-        + json.dumps({"event": "rollback", "tick": 3, "tid": 0,
-                      "section": "s#1"}) + "\n"
-    )
-    events = load_events(str(path))
-    assert [e["v"] for e in events] == [1, 1]
-    assert events[1]["source"] == "resilience"
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+
+def test_cli_trace_rejects_unversioned_stream(tmp_path, capsys):
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps({"event": "rollback", "tick": 3, "tid": 0,
+                                "section": "s#1"}) + "\n")
+    assert cli_main(["trace", str(path)]) == 2
+    assert "old.jsonl:1: schema version None" in capsys.readouterr().err
 
 
 def test_cli_trace_summary_and_chrome(tmp_path, capsys):

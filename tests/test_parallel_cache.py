@@ -9,9 +9,9 @@ Three guarantee families for the scheduled/cached engine paths:
 * **incremental invalidation** — editing one function recomputes exactly
   its SCC cone: callee summaries below the edit load from disk, functions
   above it (and only those) re-solve;
-* **accounting** — the transfer-cache counters partition transfer
-  executions exactly (``misses + stale == dataflow_steps``) and the two
-  disk namespaces (bench result cells, analysis cache) cannot collide
+* **accounting** — the kernel's transfer counters partition transfer
+  executions exactly (``call_transfers + mask_hits + mask_fallbacks ==
+  dataflow_steps``) and the two disk namespaces (bench result cells, analysis cache) cannot collide
   under a shared ``--cache-dir`` root.
 """
 
@@ -22,7 +22,8 @@ import pytest
 from repro.bench import ALL_BENCHMARKS
 from repro.bench.executor import _cache_path
 from repro.cfg import build_cfgs, build_schedule, call_graph, cone_hashes, tarjan_sccs
-from repro.inference import Engine, LockInference, open_cache
+from repro.inference import (Engine, LockInference, ReferenceEngine,
+                             open_cache)
 from repro.inference.schedule import precompute_summaries
 from repro.lang import lower_program, parse_program
 from repro.pointer import PointsTo
@@ -42,7 +43,7 @@ def _rendered(locks_by_section):
 
 
 # ---------------------------------------------------------------------------
-# golden equivalence: jobs=4 == jobs=1 == enable_caches=False, warm == cold
+# golden equivalence: jobs=4 == jobs=1 == reference engine, warm == cold
 # ---------------------------------------------------------------------------
 
 
@@ -224,16 +225,15 @@ def test_transfer_counters_partition_steps(name):
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
     stats = engine.stats
-    # every transfer execution is exactly one call-cache miss, call-cache
-    # stale recompute, kernel mask hit, or kernel fallback; call-cache
-    # hits never execute — the counters partition the steps exactly
-    assert (stats["transfer_cache_misses"] + stats["transfer_cache_stale"]
-            + stats["mask_hits"] + stats["mask_fallbacks"]
-            == stats["dataflow_steps"])
+    # every transfer execution is exactly one call transfer, kernel mask
+    # hit, or kernel fallback — the counters partition the steps exactly
+    assert (stats["call_transfers"] + stats["mask_hits"]
+            + stats["mask_fallbacks"] == stats["dataflow_steps"])
+    engine.metrics.check_invariants()
     # the kernel's fast path must actually serve repeat visits
     assert stats["mask_hits"] > 0
-    # the old accounting bug: every step counted as a miss
-    assert stats["transfer_cache_misses"] < stats["dataflow_steps"]
+    # call nodes are a minority of the steps, and all of them are counted
+    assert 0 < stats["call_transfers"] < stats["dataflow_steps"]
 
 
 def test_reference_engine_still_counts_raw_steps():
@@ -241,13 +241,12 @@ def test_reference_engine_still_counts_raw_steps():
     program = lower_program(parse_program(source))
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
-    engine = Engine(program, cfgs, pointsto, k=9, enable_caches=False)
+    engine = ReferenceEngine(program, cfgs, pointsto, k=9)
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
             engine.analyze_section(func_name, section)
     assert engine.stats["dataflow_steps"] > 0
-    for counter in ("transfer_cache_hits", "transfer_cache_misses",
-                    "transfer_cache_stale", "mask_hits", "mask_fallbacks"):
+    for counter in ("call_transfers", "mask_hits", "mask_fallbacks"):
         assert engine.stats[counter] == 0
 
 
