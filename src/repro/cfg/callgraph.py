@@ -5,8 +5,8 @@ summaries of (transitive) callees, so the natural evaluation order is
 bottom-up over the condensation of the call graph: condense the defined
 functions into strongly connected components (mutual recursion), then
 process SCCs level by level in reverse topological order.  Two SCCs on the
-same level cannot call each other, which is what lets the parallel engine
-fan a level's SCCs out across worker processes.
+same level cannot call each other, so when a level is done every summary
+below it is final — the safe point the checkpointing scheduler flushes at.
 
 The same condensation carries the *cone hashes* behind the persistent
 analysis cache: ``cone_hashes`` folds each function's canonical IR text

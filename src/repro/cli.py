@@ -2,10 +2,9 @@
 
 Commands:
 
-* ``analyze <file.mc> [--k K] [--no-effects] [--jobs N] [--cache-dir D]
+* ``analyze <file.mc> [--k K] [--no-effects] [--cache-dir D]
   [--no-disk-cache] [--profile]`` — print the inferred locks per atomic
-  section and the Figure 7-style classification counts; ``--jobs`` fans
-  independent call-graph SCCs out across worker processes, the persistent
+  section and the Figure 7-style classification counts; the persistent
   analysis cache (on by default, rooted next to the bench result cache)
   makes warm reruns of an unchanged file skip the dataflow outright;
   ``--profile`` appends the AnalysisProfile (phase timers, per-SCC
@@ -24,8 +23,7 @@ Commands:
   cells are cached (``--resume`` skips them), failing cells become error
   rows instead of killing the sweep, and the JSONL event stream renders
   as live progress;
-* ``bench-table2 [--ops N]`` / ``bench-figure7`` — regenerate a paper
-  experiment from the command line;
+* ``bench-figure7`` — regenerate Figure 7 from the command line;
 * ``serve --socket PATH [--cache-dir D] [--max-inflight N]
   [--queue-depth N] [--deadline S] [--events PATH]`` — run the long-lived
   analysis service: interned programs, pointer results, and the disk
@@ -51,7 +49,7 @@ import sys
 from typing import List, Optional
 
 from .bench import ALL_BENCHMARKS, CONFIGS, run_benchmark
-from .bench.reporting import figure7, figure7_counts, table2, table2_rows
+from .bench.reporting import figure7, figure7_counts
 from .inference import (AnalysisBudget, BudgetExhausted, LockInference,
                         transform_with_inference)
 from .lang import SourceError, parse_program, print_lowered_program
@@ -94,7 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         result = LockInference(source, k=args.k,
                                use_effects=not args.no_effects,
-                               jobs=args.jobs, cache_dir=cache_dir,
+                               cache_dir=cache_dir,
                                budget=_budget_from_args(args),
                                allow_partial=args.allow_partial,
                                checkpoint_every=args.checkpoint_every).run()
@@ -205,12 +203,6 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{result.stm_aborts} aborts")
     else:
         print(f"  checker validated {result.checked_accesses} accesses")
-    return 0
-
-
-def cmd_bench_table2(args: argparse.Namespace) -> int:
-    rows = table2_rows(threads=args.threads, n_ops=args.ops)
-    print(table2(rows))
     return 0
 
 
@@ -587,9 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", type=int, default=9)
     p.add_argument("--no-effects", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="solve independent call-graph SCCs across N worker "
-                        "processes (default 1: serial, bit-identical)")
     p.add_argument("--cache-dir", default=None,
                    help="root of the persistent analysis cache (default "
                         "benchmarks/results/cache; shared with the bench "
@@ -743,11 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="print the server-side AnalysisProfile as JSON")
     p.set_defaults(func=cmd_client)
-
-    p = sub.add_parser("bench-table2", help="regenerate Table 2")
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--ops", type=int, default=None)
-    p.set_defaults(func=cmd_bench_table2)
 
     p = sub.add_parser("bench-figure7", help="regenerate Figure 7")
     p.set_defaults(func=cmd_bench_figure7)

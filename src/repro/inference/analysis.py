@@ -102,7 +102,6 @@ class AnalysisProfile:
 
     k: int = 0
     use_effects: bool = True
-    jobs: int = 1
     front_time: float = 0.0
     front_shared: bool = False
     front_from_disk: bool = False
@@ -153,8 +152,8 @@ class AnalysisProfile:
             shared = " (disk)"
         interned = sum(self.interned_terms.values())
         lines = [
-            f"profile (k={self.k}, effects={'on' if self.use_effects else 'off'},"
-            f" jobs={self.jobs}):",
+            f"profile (k={self.k},"
+            f" effects={'on' if self.use_effects else 'off'}):",
             f"  front (parse+lower+cfg): {self.front_time:.3f}s{shared}",
             f"  pointer analysis:        {self.pointer_time:.3f}s",
         ]
@@ -326,12 +325,12 @@ class LockInference:
     :class:`SharedAnalysis` — in the latter case the front half of the
     pipeline (including the pointer analysis) is reused, not recomputed.
 
-    *jobs* > 1 precomputes function summaries bottom-up over the call
-    graph's SCC condensation, fanning independent components out across
-    worker processes (:mod:`repro.inference.schedule`); *cache_dir* roots
-    the persistent cross-run cache (:mod:`repro.inference.diskcache`).
-    Both leave the inferred lock sets bit-identical to the default
-    serial, cache-less run.
+    *cache_dir* roots the persistent cross-run cache
+    (:mod:`repro.inference.diskcache`); with it, *checkpoint_every* > 0
+    solves the function summaries bottom-up over the call graph's SCC
+    condensation (:mod:`repro.inference.schedule`) and flushes converged
+    bundles at level boundaries.  Both leave the inferred lock sets
+    bit-identical to the default lazy, cache-less run.
     """
 
     def __init__(
@@ -342,7 +341,6 @@ class LockInference:
         specs: Optional[SpecLibrary] = None,
         alias: str = "steensgaard",
         enable_caches: bool = True,
-        jobs: int = 1,
         cache_dir: Optional[str] = None,
         budget: Optional[AnalysisBudget] = None,
         allow_partial: bool = False,
@@ -351,7 +349,6 @@ class LockInference:
     ) -> None:
         if alias not in ("steensgaard", "andersen"):
             raise ValueError(f"unknown alias analysis {alias!r}")
-        self.jobs = max(1, jobs)
         # anytime knobs: *budget* bounds the solve; *allow_partial* turns
         # budget/deadline expiry into a sound degraded result instead of
         # an exception; *checkpoint_every* > 0 flushes converged bundles
@@ -389,12 +386,11 @@ class LockInference:
 
     def run(self) -> InferenceResult:
         with trace.span("analysis.run", "inference", k=self.k,
-                        jobs=self.jobs, effects=self.use_effects):
+                        effects=self.use_effects):
             return self._run()
 
     def _run(self) -> InferenceResult:
-        profile = AnalysisProfile(k=self.k, use_effects=self.use_effects,
-                                  jobs=self.jobs)
+        profile = AnalysisProfile(k=self.k, use_effects=self.use_effects)
         if self.shared is not None:
             pointsto = self.shared.pointsto
             cfgs = self.shared.cfgs
@@ -429,7 +425,7 @@ class LockInference:
             oracle = AndersenOracle(pointsto, andersen)
         schedule = None
         disk = None
-        if self.jobs > 1 or self.cache_dir:
+        if self.cache_dir:
             with trace.timed("analysis.schedule", "inference") as sched_span:
                 schedule = build_schedule(self.program)
             profile.schedule_time = sched_span.duration
@@ -458,12 +454,10 @@ class LockInference:
         degraded_reason = None
         with trace.timed("analysis.dataflow", "inference") as flow_span:
             try:
-                if self.jobs > 1 or checkpoint is not None:
-                    # checkpointing piggybacks on the bottom-up schedule:
-                    # level boundaries are exactly where every summary is
-                    # final, so serial runs take it too when asked
+                if checkpoint is not None:
+                    # checkpointing rides on the bottom-up schedule: level
+                    # boundaries are exactly where every summary is final
                     report = precompute_summaries(engine, schedule,
-                                                  jobs=self.jobs,
                                                   checkpoint=checkpoint)
                     profile.sccs_run = report.sccs_run
                     profile.level_times = list(report.level_times)

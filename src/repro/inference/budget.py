@@ -37,7 +37,7 @@ class BudgetExhausted(Exception):
 
     ``reason`` is ``"wall"``, ``"steps"``, or ``"rss"``.  The exception
     pickles cleanly (``args == (reason, message)``) so it survives the
-    round-trip out of ``ProcessPoolExecutor`` workers.
+    round-trip out of a worker process.
     """
 
     def __init__(self, reason: str, message: str = ""):

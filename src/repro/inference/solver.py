@@ -15,9 +15,7 @@ section until the summaries it read are stable.
 
 Two cross-run layers sit on top (:mod:`repro.inference.schedule`,
 :mod:`repro.inference.diskcache`): :meth:`SummarySolver.precompute_funcs`
-solves access summaries bottom-up over the call-graph condensation (the
-parallel scheduler fans independent SCCs out across processes and merges
-their entries back via :meth:`SummarySolver.import_summaries`), and an
+solves access summaries bottom-up over the call-graph condensation, and an
 optional disk cache serves whole summary bundles and section lock sets
 keyed by content hashes of the function's SCC cone.
 """
@@ -137,8 +135,8 @@ class SummarySolver:
         self._backward_ranks: Dict[str, Dict[int, int]] = {}
         self._tracer = get_tracer()
         # solver counters live in a metrics registry; ``stats`` is the
-        # dict-shaped view the rest of the code (and the parallel-merge
-        # path) mutates, so every increment lands in the registry
+        # dict-shaped view the rest of the code mutates, so every increment
+        # lands in the registry
         self.metrics = MetricsRegistry()
         self.stats = self.metrics.counter_bundle(
             "engine", STAT_NAMES + _RETIRED_STAT_NAMES,
@@ -359,15 +357,5 @@ class SummarySolver:
         self._solve_summaries()
 
     def summary_items(self):
-        """Snapshot view of the summary table (scheduler merge support)."""
+        """Snapshot view of the summary table (what the disk cache stores)."""
         return self._summaries.items()
-
-    def import_summaries(self, entries) -> int:
-        """Adopt summary entries computed elsewhere (a worker process)."""
-        imported = 0
-        for key, value in entries:
-            if self._summaries.get(key) != value:
-                self._summaries[key] = value
-                self.dirty_funcs.add(key[1])
-                imported += 1
-        return imported

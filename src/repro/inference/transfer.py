@@ -105,6 +105,7 @@ class TransferSpec:
         self.specs = specs
         self.k = k
         self._written_classes: Dict[str, Optional[FrozenSet[int]]] = {}
+        self._direct_writes: Dict[str, Tuple[Set[int], Set[str]]] = {}
 
     def shadowed(self, func_name: str, name: str) -> bool:
         func = self.program.functions.get(func_name)
@@ -454,17 +455,40 @@ class TransferSpec:
         return classes
 
     def _written_classes_of(self, func_name: str) -> Optional[FrozenSet[int]]:
-        """Classes of cells *func_name* (transitively) writes; None = unknown."""
+        """Classes of cells *func_name* (transitively) writes; None = unknown.
+
+        The union of the direct writes of everything reachable in the call
+        graph, so every member of a recursion cycle gets the whole cycle's
+        writes whichever of them is asked first.
+        """
         if func_name in self._written_classes:
             return self._written_classes[func_name]
-        self._written_classes[func_name] = frozenset()  # cycle base
-        func = self.program.functions.get(func_name)
-        if func is None:
-            self._written_classes[func_name] = None
-            return None
         classes: Set[int] = set()
-        unknown = False
-        for instr in ir.walk_instrs(func.body):
+        reached = {func_name}
+        pending = [func_name]
+        result: Optional[FrozenSet[int]] = None
+        while pending:
+            name = pending.pop()
+            if name not in self.program.functions:
+                break  # unknown code: it may write anything
+            written, callees = self._direct_writes_of(name)
+            classes |= written
+            pending.extend(callees - reached)
+            reached |= callees
+        else:
+            result = frozenset(classes)
+        self._written_classes[func_name] = result
+        return result
+
+    def _direct_writes_of(self, func_name: str) -> Tuple[Set[int], Set[str]]:
+        """(classes of cells *func_name*'s own statements write, the
+        functions it calls), from one memoized walk of its body."""
+        direct = self._direct_writes.get(func_name)
+        if direct is not None:
+            return direct
+        classes: Set[int] = set()
+        callees: Set[str] = set()
+        for instr in ir.walk_instrs(self.program.functions[func_name].body):
             if isinstance(instr, ir.IStore):
                 ecr = self.pointsto.pts_class(
                     self.pointsto.var_ecr(func_name, instr.addr)
@@ -474,14 +498,9 @@ class TransferSpec:
                 if self.is_global(func_name, instr.dest):
                     classes.add(self.pointsto.class_of_var(func_name, instr.dest))
                 if isinstance(instr.rhs, ir.RCall):
-                    sub = self._written_classes_of(instr.rhs.func)
-                    if sub is None:
-                        unknown = True
-                    else:
-                        classes.update(sub)
-        result: Optional[FrozenSet[int]] = None if unknown else frozenset(classes)
-        self._written_classes[func_name] = result
-        return result
+                    callees.add(instr.rhs.func)
+        direct = self._direct_writes[func_name] = (classes, callees)
+        return direct
 
 
 # A couple of private sentinels for unmapping outcomes.

@@ -1,7 +1,10 @@
 """Parallel experiment executor: cache, resume, timeout, golden equivalence."""
 
 import json
+import pathlib
+import re
 
+import repro
 from repro.bench import (
     Cell,
     ExecutorOptions,
@@ -30,6 +33,20 @@ def opts(tmp_path, **kwargs):
 def read_events(path):
     with open(path) as handle:
         return [json.loads(line) for line in handle]
+
+
+# -- one process pool in the tree ---------------------------------------------
+
+
+def test_executor_is_the_only_process_pool():
+    """Worker processes are the executor's business alone: the analysis
+    solves its summaries in one process."""
+    pool = re.compile(r"ProcessPoolExecutor|multiprocessing|concurrent\.futures")
+    src_root = pathlib.Path(repro.__file__).parent
+    users = {path.relative_to(src_root).as_posix()
+             for path in src_root.rglob("*.py")
+             if pool.search(path.read_text(encoding="utf-8"))}
+    assert users == {"bench/executor.py"}
 
 
 # -- content-hash cache keys -------------------------------------------------

@@ -1,8 +1,14 @@
 """Lock inference tests: the paper's examples and core behaviors."""
 
-from repro.inference import infer_locks
+import pytest
+
+from repro.bench.harness import run_seq
+from repro.inference import (LockInference, infer_locks,
+                             transform_with_inference)
+from repro.interp import ThreadExec, World
 from repro.locks import RO, RW
 from repro.locks.terms import TPlus, TStar, TVar, term_for_access_path
+from repro.pointer.aliasing import AliasOracle
 
 MOVE_SRC = """
 struct elem { elem* next; int* data; }
@@ -344,3 +350,42 @@ def test_analysis_times_recorded():
     assert result.pointer_time >= 0
     assert result.dataflow_time >= 0
     assert result.analysis_time == result.pointer_time + result.dataflow_time
+
+
+# `g` redirects `p`, and `f` reaches `g` only through their cycle.  The
+# trailing `g(0)` makes the backward pass ask for g's write effects before
+# f's; without it f is asked first.
+CYCLE_WRITES_SRC = """
+struct cell { int val; }  struct other { int val; }
+cell* p; cell* q; other* r;
+void g(int n) { p = q; if (n > 0) { f(n - 1); } }
+void f(int n) { if (n > 0) { g(n - 1); } }
+void setup() { p = new cell; q = new cell; r = new other; }
+void op() { atomic { f(2); p->val = 1; %s } }
+void main() { setup(); op(); }
+"""
+
+
+@pytest.mark.parametrize("enable_caches", (True, False),
+                         ids=("kernel", "reference"))
+@pytest.mark.parametrize("k", (1, 9))
+def test_cycle_member_writes_do_not_depend_on_first_demand(k, enable_caches):
+    """Every member of a call cycle writes what the whole cycle writes:
+    `f(2)` may rewrite `p`, so `p->val` after it cannot keep a fine lock
+    named by the pre-call `p` — whichever of f, g was asked first."""
+    covering = []
+    for tail in ("g(0); r->val = 2;", ""):
+        result = LockInference(CYCLE_WRITES_SRC % tail, k=k,
+                               enable_caches=enable_caches).run()
+        world = World(transform_with_inference(result),
+                      pointsto=result.pointsto, check=True)
+        run_seq(world, "setup")
+        # the §4.2 checker raises ProtectionError on an uncovered access
+        for _tick in ThreadExec(world, 1, mode="locks").call("op", []):
+            pass
+        cls = AliasOracle(result.pointsto).class_of_term(
+            "op", TPlus(TStar(TVar("p")), "val"))
+        covering.append([
+            (lock.is_coarse, lock.eff)
+            for lock in locks_of(result, "op#1") if lock.cls == cls])
+    assert covering[0] == covering[1] == [(True, RW)]

@@ -1,11 +1,11 @@
-"""Parallel SCC scheduling and the persistent analysis cache.
+"""Bottom-up SCC scheduling and the persistent analysis cache.
 
 Three guarantee families for the scheduled/cached engine paths:
 
 * **golden equivalence** — for every benchmark program and k ∈ {0, 1, 9},
-  the SCC-parallel engine (``jobs=4``), the serial default, and the
-  cache-less reference all produce identical lock sets, and a warm rerun
-  against a populated disk cache reproduces the cold run byte for byte;
+  the bottom-up schedule, the lazy default, and the cache-less reference
+  all produce identical lock sets, and a warm rerun against a populated
+  disk cache reproduces the cold run byte for byte;
 * **incremental invalidation** — editing one function recomputes exactly
   its SCC cone: callee summaries below the edit load from disk, functions
   above it (and only those) re-solve;
@@ -43,28 +43,36 @@ def _rendered(locks_by_section):
 
 
 # ---------------------------------------------------------------------------
-# golden equivalence: jobs=4 == jobs=1 == reference engine, warm == cold
+# golden equivalence: bottom-up == lazy == reference engine, warm == cold
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
 def test_parallel_and_warm_match_reference(name, tmp_path):
+    # "parallel" in the id is historical: the fork fan-out it names never
+    # got a task past its weight gate, so these were always the orders
+    # compared — the id stays because the suite's floor list pins it
     source = ALL_BENCHMARKS[name].source
     cache_root = str(tmp_path / "cache")
     for k in KS:
         reference = _locks_by_section(
             LockInference(source, k=k, enable_caches=False).run())
-        serial = _locks_by_section(LockInference(source, k=k).run())
-        parallel = _locks_by_section(
-            LockInference(source, k=k, jobs=4).run())
-        cold = LockInference(source, k=k, jobs=4, cache_dir=cache_root).run()
+        lazy = LockInference(source, k=k).run()
+        scheduled, bottom_up = _run_engine(source, k=k, bottom_up=True)
+        cold = LockInference(source, k=k, cache_dir=cache_root,
+                             checkpoint_every=1).run()
         warm = LockInference(source, k=k, cache_dir=cache_root).run()
         warm_locks = _locks_by_section(warm)
-        for label, got in (("serial", serial), ("parallel", parallel),
+        for label, got in (("lazy", _locks_by_section(lazy)),
+                           ("bottom-up", bottom_up),
                            ("cold-cached", _locks_by_section(cold)),
                            ("warm", warm_locks)):
             assert got == reference, f"{name} k={k}: {label} diverged"
             assert _rendered(got) == _rendered(reference)
+        # the cold run took the same walk, and a summary solved after its
+        # callees are final is never re-run: no more runs than lazy
+        assert (cold.profile.summary_runs == scheduled.stats["summary_runs"]
+                <= lazy.profile.summary_runs), f"{name} k={k}"
         # the warm rerun of an unchanged program must skip dataflow
         assert warm.profile.dataflow_steps == 0, f"{name} k={k}"
         assert warm.profile.sections_from_disk == len(reference)
@@ -155,21 +163,24 @@ def test_cone_hashes_change_exactly_above_an_edit():
 # ---------------------------------------------------------------------------
 
 
-def _run_engine(source, cache_root, jobs=1):
+def _run_engine(source, cache_root=None, k=9, bottom_up=False):
     program = lower_program(parse_program(source))
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
     schedule = build_schedule(program)
-    disk = open_cache(cache_root, program, pointsto, 9, True, schedule)
-    engine = Engine(program, cfgs, pointsto, k=9, disk_cache=disk)
-    if jobs > 1:
-        precompute_summaries(engine, schedule, jobs=jobs)
+    disk = None
+    if cache_root is not None:
+        disk = open_cache(cache_root, program, pointsto, k, True, schedule)
+    engine = Engine(program, cfgs, pointsto, k=k, disk_cache=disk)
+    if bottom_up:
+        precompute_summaries(engine, schedule)
     locks = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
             locks[section.section_id] = engine.analyze_section(
                 func_name, section).locks
-    disk.store_dirty(engine)
+    if disk is not None:
+        disk.store_dirty(engine)
     return engine, locks
 
 
@@ -201,10 +212,10 @@ def test_edit_recomputes_only_dirty_cone(tmp_path):
     assert engine.stats["sections_from_disk"] == 0
 
 
-def test_warm_parallel_precompute_loads_instead_of_solving(tmp_path):
+def test_warm_precompute_loads_instead_of_solving(tmp_path):
     cache_root = str(tmp_path)
-    _run_engine(CHAIN, cache_root, jobs=4)
-    warm, _ = _run_engine(CHAIN, cache_root, jobs=4)
+    _run_engine(CHAIN, cache_root, bottom_up=True)
+    warm, _ = _run_engine(CHAIN, cache_root, bottom_up=True)
     assert warm.computed_funcs == set()
     assert warm.stats["summary_runs"] == 0
 
