@@ -11,10 +11,10 @@ modes and writes ``BENCH_analysis.json`` at the repo root:
   store, the dataflow never runs.
 
 The JSON carries per-program walls for both modes plus aggregate
-solver counters, the ``bitset_cold_wall_s``/``bitset_warm_wall_s``
-column pair naming the bitset kernel path's cold/warm totals, and a
-``kernel`` microbenchmark section (join + gen/kill transfer throughput on
-synthetic fact bitsets, informational). Future PRs re-run this after
+solver counters and the ``bitset_cold_wall_s``/``bitset_warm_wall_s``
+column pair naming the bitset kernel path's cold/warm totals (kernel
+throughput on the real corpus is ``inference.steps_per_s`` of
+``benchmarks/perf``). Future PRs re-run this after
 touching the analysis path and commit the refreshed JSON, so the file's
 git history is the perf trajectory; ``--check-baseline`` compares a fresh
 ``bitset_cold`` run against the committed JSON and fails on a >25%
@@ -56,57 +56,6 @@ AGGREGATE_KEYS = (
     "dataflow_steps", "summary_runs", "mask_hits", "mask_fallbacks",
     "summaries_from_disk", "sections_from_disk",
 )
-
-# Synthetic fact-universe size for the kernel microbenchmark.
-KERNEL_TERMS = 4096
-
-
-def kernel_microbench(terms: int = KERNEL_TERMS, target_s: float = 0.05):
-    """Join + transfer throughput of the bitset kernel on synthetic facts.
-
-    Builds two overlapping fact sets over a *terms*-wide universe through
-    the real :class:`FactInterner` encoding, then times the two integer
-    ops the dataflow core reduces to: the join (``a | b``) and the
-    warmed-up gen/kill transfer (``(bits & mask) | gen``).  Reported as
-    operations/second; informational (machine-dependent), not gated.
-    """
-    from repro.inference.facts import FactInterner
-    from repro.locks.effects import RO, RW
-    from repro.locks.terms import TVar
-
-    interner = FactInterner()
-    universe = [TVar(f"synth{i}") for i in range(terms)]
-    bits_a = interner.encode(
-        (t, RW if i % 3 == 0 else RO)
-        for i, t in enumerate(universe) if i % 2 == 0)
-    bits_b = interner.encode(
-        (t, RW if i % 5 == 0 else RO)
-        for i, t in enumerate(universe) if i % 2 == 1 or i % 7 == 0)
-    kill_mask = ~interner.encode(
-        (t, RW) for i, t in enumerate(universe) if i % 4 == 0)
-    gen = interner.encode(
-        (t, RW if i % 2 == 0 else RO)
-        for i, t in enumerate(universe) if i % 11 == 0)
-
-    def _throughput(op):
-        reps = 256
-        while True:
-            started = time.perf_counter()
-            for _ in range(reps):
-                op()
-            elapsed = time.perf_counter() - started
-            if elapsed >= target_s:
-                return reps / elapsed
-            reps *= 4
-
-    join_ops = _throughput(lambda: bits_a | bits_b)
-    transfer_ops = _throughput(lambda: (bits_a & kill_mask) | gen)
-    return {
-        "fact_terms": terms,
-        "join_ops_per_s": int(join_ops),
-        "transfer_ops_per_s": int(transfer_ops),
-    }
-
 
 def corpus(quick: bool = False):
     sources = {} if quick else dict(spec_sources(scale=SPEC_SCALE))
@@ -170,7 +119,6 @@ def measure(quick: bool = False):
         # bitset kernel; total_wall_s stays as the legacy alias)
         "bitset_cold_wall_s": round(cold_total, 3),
         "bitset_warm_wall_s": round(warm_total, 3),
-        "kernel": kernel_microbench(),
         "warm_wall_s": round(warm_total, 3),
         "warm_speedup": round(cold_total / warm_total, 2),
         "seed_total_wall_s": SEED_TOTAL_S if not quick else None,
@@ -193,12 +141,6 @@ def render(report) -> str:
     lines.append(
         f"{'TOTAL':12s} {report['total_wall_s']:9.3f} "
         f"{report['warm_wall_s']:9.3f}"
-    )
-    kernel = report["kernel"]
-    lines.append(
-        f"kernel microbench ({kernel['fact_terms']} synthetic terms): "
-        f"join {kernel['join_ops_per_s'] / 1e6:.2f} Mop/s, "
-        f"transfer {kernel['transfer_ops_per_s'] / 1e6:.2f} Mop/s"
     )
     lines.append(
         f"warm disk cache: {report['warm_speedup']:.2f}x vs cold")
@@ -264,10 +206,8 @@ def test_analysis_speed(benchmark):
     # a warm rerun of an unchanged corpus must skip the dataflow outright
     assert report["warm_aggregate"]["dataflow_steps"] == 0
     assert report["warm_wall_s"] < report["total_wall_s"]
-    # the bitset kernel must actually run cold (and the microbench with it)
+    # the bitset kernel must actually run cold
     assert report["aggregate"]["mask_hits"] > 0
-    assert report["kernel"]["join_ops_per_s"] > 0
-    assert report["kernel"]["transfer_ops_per_s"] > 0
 
 
 def main(argv=None) -> int:

@@ -118,8 +118,6 @@ class AnalysisProfile:
     mask_fallbacks: int = 0
     fact_terms: int = 0
     peak_bitset_popcount: int = 0
-    alias_class_hits: int = 0
-    alias_class_misses: int = 0
     summaries_from_disk: int = 0
     sections_from_disk: int = 0
     scc_count: int = 0
@@ -175,10 +173,6 @@ class AnalysisProfile:
                 f" ({self.mask_hit_rate:.0%} mask-hit rate),"
                 f" {self.fact_terms} fact terms,"
                 f" peak IN set {self.peak_bitset_popcount} bits")
-        if self.alias_class_hits or self.alias_class_misses:
-            lines.append(
-                f"  alias class cache:       {self.alias_class_hits} hits /"
-                f" {self.alias_class_misses} misses")
         if self.cache_io_time or self.summaries_from_disk or self.sections_from_disk:
             lines.append(
                 f"  disk cache:              {self.cache_io_time:.3f}s io,"
@@ -496,8 +490,6 @@ class LockInference:
             setattr(profile, name, engine.stats[name])
         profile.fact_terms = engine.fact_terms
         profile.peak_bitset_popcount = engine.peak_bits
-        profile.alias_class_hits = engine.oracle.stats["class_hits"]
-        profile.alias_class_misses = engine.oracle.stats["class_misses"]
         # the registry's cross-counter invariants (the transfer partition)
         # are enforced at this collection point; python -O downgrades the
         # failure to a returned report

@@ -11,9 +11,12 @@ listed in ``docs/PERFORMANCE.md`` beside the measurement that keeps it:
   effect-linear (:meth:`TransferSpec.pre_image`), so each node gets a
   **gen/kill kernel**: its :class:`~repro.inference.transfer.NodeRule`'s
   G set as a precomputed bitset, plus an *identity mask* of fact pairs
-  proven to pass through the node's write unchanged — a repeat visit is
-  two integer ops — with a **per-term memo** of pre-image bits and coarse
-  emissions for the non-identity remainder (the per-fact fallback path);
+  proven to pass through the node's write unchanged — the frame,
+  Figure 4's ``closure(Id)``, read off a per-scope **read-class index**:
+  a tracked term none of whose cells share the written cell's points-to
+  class is its own pre-image — with a **per-term memo** of pre-image bits
+  and coarse emissions for the terms the write can touch (the per-fact
+  fallback path);
 * the kill side of a (write, scope) pair — its pre-image
   :class:`~repro.inference.subst.Substituter` and the memo built from it
   — is shared by every node performing that write and persists across
@@ -36,28 +39,49 @@ from ..locks.effects import RO, RW
 from .facts import FactInterner, popcount
 from .solver import DEADLINE_POLL_EVERY, Run, SummarySolver
 from .subst import Substituter, WriteInfo
-from .transfer import CoarseSet, Emissions, TermSet, is_call
+from .transfer import TRACKED, CoarseSet, Emissions, TermSet, is_call
+
+
+class _ReadIndex:
+    """One function scope's read-class index over the fact terms seen
+    there, as pair masks: ``known`` covers every indexed term, ``tracked``
+    those the k-limit keeps, and ``readers[cls]`` the tracked terms whose
+    evaluation reads a cell of points-to class *cls*
+    (:meth:`TransferSpec.read_classes`)."""
+
+    __slots__ = ("known", "tracked", "readers")
+
+    def __init__(self) -> None:
+        self.known = 0
+        self.tracked = 0
+        self.readers: Dict[int, int] = {}
 
 
 class _KillKernel:
     """The kill side of one ``(WriteInfo, scope)`` pair's transfer.
 
     ``identity_mask`` covers the fact pairs proven to pass through the
-    write unchanged; it starts empty and grows as ``_build_fact_memo``
-    discovers identities, so a warmed-up visit is
-    ``(out & identity_mask) | gen_bits``.  ``memo`` holds the per-term
-    pre-image for everything else (keyed by term ID; one entry serves both
-    effects — see ``Engine._build_fact_memo``).  Kill kernels are shared by
-    every node performing the same write in the same scope — and by a
-    node's ``with_g`` on/off kernel variants — so each (write, term)
-    pre-image is computed once per engine.
+    write unchanged, so a warmed-up visit is
+    ``(out & identity_mask) | gen_bits``.  It is the frame of the write:
+    of the terms in ``known`` (the scope's index when the mask was last
+    refreshed), the tracked ones that read no cell of ``write_class`` —
+    see ``Engine._refresh_frame``.  ``memo`` holds the per-term pre-image
+    for everything else (keyed by term ID; one entry serves both effects),
+    including the few identities the class test cannot see.
+    Kill kernels are shared by every node performing the same write in the
+    same scope — and by a node's ``with_g`` on/off kernel variants — so
+    each (write, term) pre-image is computed once per engine.
     """
 
-    __slots__ = ("func", "sub", "identity_mask", "memo")
+    __slots__ = ("func", "sub", "write_class", "known", "identity_mask",
+                 "memo")
 
     def __init__(self, func: str, sub: Substituter) -> None:
         self.func = func
         self.sub = sub
+        # looked up on the first visit that carries a fact: k=0 never does
+        self.write_class: Optional[int] = None
+        self.known = 0
         self.identity_mask = 0
         self.memo: Dict[int, Tuple[int, tuple]] = {}
 
@@ -84,6 +108,7 @@ class Engine(SummarySolver):
         super().__init__(*args, **kwargs)
         self._interner = FactInterner()
         self._kill_kernels: Dict[Tuple[WriteInfo, str], _KillKernel] = {}
+        self._read_index: Dict[str, _ReadIndex] = {}
         # per-(node, with_g) kernels; ``Node.uid`` is only unique within
         # one function's CFG, so they key on the node object's id (the
         # cfgs keep every node alive)
@@ -182,8 +207,12 @@ class Engine(SummarySolver):
             # write-less node: every fact passes through untouched
             raw["mask_hits"] += 1
             return out_bits | gen
-        result = (out_bits & kill.identity_mask) | gen
-        rest = out_bits & ~kill.identity_mask
+        mask = kill.identity_mask
+        rest = out_bits & ~mask
+        if rest & ~kill.known:
+            mask = self._refresh_frame(kill, rest)
+            rest = out_bits & ~mask
+        result = (out_bits & mask) | gen
         memo = kill.memo
         fresh = False
         while rest:
@@ -226,6 +255,39 @@ class Engine(SummarySolver):
             kill, self._interner.encode(gens), coarse)
         return kern
 
+    def _refresh_frame(self, kill: _KillKernel, rest: int) -> int:
+        """Index the terms of *rest* new to *kill*'s scope, then rebuild
+        its identity mask from the index: a tracked term that reads no cell
+        of the written cell's class is its own pre-image (Figure 4's
+        ``closure(Id)``; see :meth:`TransferSpec.read_classes`).  Only the
+        other terms go on to ``_build_fact_memo``."""
+        func = kill.func
+        index = self._read_index.get(func)
+        if index is None:
+            index = self._read_index[func] = _ReadIndex()
+        spec = self.spec
+        term_of = self._interner.term
+        readers = index.readers
+        new = rest & ~index.known
+        while new:
+            low = new & -new
+            pair = low | (low << 1)
+            new &= ~pair
+            term = term_of((low.bit_length() - 1) >> 1)
+            index.known |= pair
+            if spec.k_limit(func, term) is TRACKED:
+                index.tracked |= pair
+                for cls in spec.read_classes(func, term):
+                    readers[cls] = readers.get(cls, 0) | pair
+        if kill.write_class is None:
+            write = kill.sub.write
+            kill.write_class = self.oracle.class_of_term(write.func,
+                                                         write.definite)
+        kill.known = index.known
+        mask = kill.identity_mask = index.tracked & ~readers.get(
+            kill.write_class, 0)
+        return mask
+
     def _build_fact_memo(self, kill: _KillKernel,
                          tid: int) -> Tuple[int, tuple]:
         """Memoize one term's pre-image under *kill*'s write.
@@ -233,9 +295,7 @@ class Engine(SummarySolver):
         Statement transfers are effect-linear, so one memo entry — the
         admitted pre-terms as an RO bitset plus the widened classes —
         serves both effects: an RW source fact ORs in the doubled bits and
-        emits the classes at RW.  A term whose pre-image is exactly itself
-        (no widening) is promoted into the kernel's identity mask, making
-        every later visit carrying it two integer ops.
+        emits the classes at RW.
         """
         interner = self._interner
         tracked, widened = self.spec.pre_image(kill.func, kill.sub,
@@ -244,6 +304,4 @@ class Engine(SummarySolver):
         for pre in tracked:
             ro_bits |= interner.term_bit(pre)
         entry = kill.memo[tid] = (ro_bits, tuple(set(widened)))
-        if not widened and ro_bits == 1 << (tid << 1):
-            kill.identity_mask |= ro_bits | (ro_bits << 1)
         return entry

@@ -25,9 +25,9 @@ terms with effects.  This module is the *specification* both drivers
   function run are expressible to callers.
 
 The rules hold no analysis state: a :class:`TransferSpec` bundles the
-program, points-to result, alias oracle, library specs and k, and the one
-table it fills lazily (callee write effects) is a pure function of the
-program.  Everything a run accumulates lives in the *run* object the
+program, points-to result, alias oracle, library specs and k, and the two
+tables it fills lazily (callee write effects, the classes a term reads)
+are pure functions of the program.  Everything a run accumulates lives in the *run* object the
 driver passes in, which supplies ``coarse`` (the set of ``(class, eff)``
 emissions) and ``summary(key)`` (demand a summary for this run's
 requester).
@@ -106,6 +106,7 @@ class TransferSpec:
         self.k = k
         self._written_classes: Dict[str, Optional[FrozenSet[int]]] = {}
         self._direct_writes: Dict[str, Tuple[Set[int], Set[str]]] = {}
+        self._read_classes: Dict[str, Dict[Term, FrozenSet[int]]] = {}
 
     def shadowed(self, func_name: str, name: str) -> bool:
         func = self.program.functions.get(func_name)
@@ -326,7 +327,7 @@ class TransferSpec:
                 coarse.add((self.oracle.class_of_term(func_name, term), eff))
                 continue
             for pre in sub.pre_terms(term):
-                if written and written & self._read_classes(func_name, pre):
+                if written & self.read_classes(func_name, pre):
                     coarse.add(
                         (self.oracle.class_of_term(func_name, pre), eff))
                 else:
@@ -420,39 +421,43 @@ class TransferSpec:
         written = self._written_classes_of(callee_name)
         if written is None:
             return True  # callee (transitively) calls unknown code
-        for cls in self._read_classes(func_name, term):
-            if cls in written:
-                return True
-        return False
+        return not written.isdisjoint(self.read_classes(func_name, term))
 
-    def _read_classes(self, func_name: str, term: Term) -> Set[int]:
+    def read_classes(self, func_name: str, term: Term) -> FrozenSet[int]:
         """Classes of every cell a term's evaluation reads (deref steps and
-        index variables)."""
-        classes: Set[int] = set()
+        index variables), memoized per scope on the hash-consed term.
 
-        def visit_term(t: Term) -> None:
-            if isinstance(t, TStar):
-                classes.add(self.oracle.class_of_term(func_name, t.inner))
-                visit_term(t.inner)
-            elif isinstance(t, TPlus):
-                visit_term(t.inner)
-            elif isinstance(t, TIndex):
-                visit_term(t.inner)
-                visit_index(t.index)
-
-        def visit_index(ie) -> None:
-            if isinstance(ie, IVar):
-                classes.add(
-                    self.pointsto.class_id(
-                        self.oracle.var_cell_class(func_name, ie.name)
-                    )
-                )
-            elif hasattr(ie, "left"):
-                visit_index(ie.left)
-                visit_index(ie.right)
-
-        visit_term(term)
+        A write to a cell of any other class leaves the term's pre-image
+        the term itself (``closure(Id)`` of Figure 4): every rewrite
+        :class:`~repro.inference.subst.Substituter` makes is guarded by
+        the oracle's may-alias on one of these cells, and may-alias implies
+        class equality under both oracles.
+        """
+        memo = self._read_classes.get(func_name)
+        if memo is None:
+            memo = self._read_classes[func_name] = {}
+        classes = memo.get(term)
+        if classes is None:
+            if isinstance(term, TVar):
+                classes = frozenset()
+            else:
+                classes = self.read_classes(func_name, term.inner)
+                if isinstance(term, TStar):
+                    classes |= {self.oracle.class_of_term(func_name,
+                                                          term.inner)}
+                elif isinstance(term, TIndex):
+                    classes |= self._index_read_classes(func_name, term.index)
+            memo[term] = classes
         return classes
+
+    def _index_read_classes(self, func_name: str, ie) -> FrozenSet[int]:
+        if isinstance(ie, IVar):
+            return frozenset(
+                (self.oracle.class_of_term(func_name, TVar(ie.name)),))
+        if isinstance(ie, IBin):
+            return (self._index_read_classes(func_name, ie.left)
+                    | self._index_read_classes(func_name, ie.right))
+        return frozenset()
 
     def _written_classes_of(self, func_name: str) -> Optional[FrozenSet[int]]:
         """Classes of cells *func_name* (transitively) writes; None = unknown.

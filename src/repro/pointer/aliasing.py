@@ -11,9 +11,10 @@ With a unification-based analysis both reduce to walking the term through
 the ECR graph: two cells may alias iff their classes coincide.
 
 Both queries sit in the dataflow's inner loop (every substitution step asks
-``may_alias_terms`` once per deref), so the oracle keeps memo tables for
-``class_of_term`` and ``may_alias_terms`` on top of the ECR cache. The memo
-tables are only sound while the underlying points-to solution is stable;
+``may_alias_terms`` once per deref), so the oracle keeps a memo table for
+``may_alias_terms`` on top of the ECR cache (a second one for
+``class_of_term`` had no measurable effect — ``docs/PERFORMANCE.md``). The
+memo tables are only sound while the underlying points-to solution is stable;
 anything that unifies further ECRs afterwards must call :meth:`invalidate`.
 """
 
@@ -31,19 +32,17 @@ class AliasOracle:
     def __init__(self, pointsto: PointsTo) -> None:
         self.pointsto = pointsto
         self._cache: Dict[Tuple[str, Term], ECR] = {}
-        # class_of_term is the hottest query, so its memo avoids building
-        # a (func, term) tuple per lookup: one dict per function scope,
-        # keyed by the hash-consed term (identity-speed hash/eq)
-        self._class_cache: Dict[str, Dict[Term, int]] = {}
         self._alias_cache: Dict[Tuple[str, Term, str, Term], bool] = {}
+        # counters of the deleted class_of_term memo: read only by
+        # benchmarks/perf/wl_analysis.py, which may not change in the PR
+        # that deleted it; they stay at 0 until a benchmark PR drops
+        # inference.alias_class_hit_rate
         self.stats: Dict[str, int] = {"class_hits": 0, "class_misses": 0}
 
     def invalidate(self) -> None:
         """Drop all memoized answers (call after mutating the points-to
-        solution, e.g. re-running unification on an extended program).
-        The hit/miss counters are monotone activity counters and survive."""
+        solution, e.g. re-running unification on an extended program)."""
         self._cache.clear()
-        self._class_cache.clear()
         self._alias_cache.clear()
 
     def term_ecr(self, func_name: str, term: Term) -> ECR:
@@ -69,17 +68,7 @@ class AliasOracle:
         return ecr
 
     def class_of_term(self, func_name: str, term: Term) -> int:
-        per_func = self._class_cache.get(func_name)
-        if per_func is None:
-            per_func = self._class_cache[func_name] = {}
-        cached = per_func.get(term)
-        if cached is None:
-            self.stats["class_misses"] += 1
-            cached = self.pointsto.class_id(self.term_ecr(func_name, term))
-            per_func[term] = cached
-        else:
-            self.stats["class_hits"] += 1
-        return cached
+        return self.pointsto.class_id(self.term_ecr(func_name, term))
 
     def may_alias_terms(self, func_a: str, a: Term, func_b: str, b: Term) -> bool:
         """May the cells denoted by *a* and *b* coincide?"""
@@ -96,6 +85,3 @@ class AliasOracle:
                             b: Term) -> bool:
         """Unification-based answer: yes iff the ECR classes are equal."""
         return self.term_ecr(func_a, a) is self.term_ecr(func_b, b)
-
-    def var_cell_class(self, func_name: str, name: str) -> ECR:
-        return self.pointsto.var_ecr(func_name, name)

@@ -10,7 +10,15 @@ engine core built on it:
   changing their meaning (the remap round-trip property);
 * **engine equivalence** (hypothesis over k ∈ {0, 1, 9} × effects on/off,
   exhaustively per benchmark program) — the bitset engine's section locks
-  render byte-identically to the set-based ``ReferenceEngine``.
+  render byte-identically to the set-based ``ReferenceEngine``;
+* **frame soundness** — the kernel's class-indexed identity mask claims a
+  term passes a write unchanged from two facts alone (the k-limit tracks
+  it; it reads no cell of the written cell's points-to class).  That is
+  sound only relative to the alias oracle in use, so it is checked against
+  ``TransferSpec.pre_image`` under the Steensgaard *and* the Andersen
+  oracle, over the benchmark corpus and over hypothesis-built terms; two
+  pinned programs hold the identities the class test must leave to the
+  per-term memo.
 
 FactInterner unit tests (ID stability, reverse lookup, canonical bit
 patterns) anchor the properties on pinned examples.
@@ -21,13 +29,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import ALL_BENCHMARKS
+from repro.bench.programs.spec import generate_spec_program
 from repro.cfg import build_cfgs
 from repro.inference import Engine, ReferenceEngine
 from repro.inference.facts import FactInterner, popcount
+from repro.inference.transfer import TRACKED
 from repro.lang import lower_program, parse_program
 from repro.locks.effects import RO, RW, eff_join
-from repro.locks.terms import TPlus, TStar, TVar
-from repro.pointer import PointsTo
+from repro.locks.terms import IBin, IConst, IVar, TIndex, TPlus, TStar, TVar
+from repro.pointer import AliasOracle, Andersen, AndersenOracle, PointsTo
 
 # ---------------------------------------------------------------------------
 # strategies: hash-consed terms and {term: effect} fact sets
@@ -160,14 +170,19 @@ def _front(name):
     return _FRONT_CACHE[name]
 
 
-def _rendered_locks(engine_cls, program, cfgs, pointsto, k, use_effects):
-    engine = engine_cls(program, cfgs, pointsto, k=k, use_effects=use_effects)
+def _render(engine):
+    """Analyze every section with *engine*; the locks as sorted text."""
     out = {}
-    for func_name, cfg in cfgs.items():
+    for func_name, cfg in engine.cfgs.items():
         for section in cfg.sections.values():
             result = engine.analyze_section(func_name, section)
             out[section.section_id] = sorted(str(l) for l in result.locks)
     return out
+
+
+def _rendered_locks(engine_cls, program, cfgs, pointsto, k, use_effects):
+    return _render(engine_cls(program, cfgs, pointsto, k=k,
+                              use_effects=use_effects))
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
@@ -182,3 +197,207 @@ def test_bitset_engine_matches_reference(name, k, use_effects):
     reference = _rendered_locks(ReferenceEngine, program, cfgs, pointsto, k,
                                 use_effects)
     assert optimized == reference, f"{name} k={k} effects={use_effects}"
+
+
+# ---------------------------------------------------------------------------
+# frame soundness: the class-indexed identity mask vs. the per-term pre-image
+# ---------------------------------------------------------------------------
+
+ALIASES = ("steensgaard", "andersen")
+# the infer_k9 corpus of benchmarks/perf: ten sources + two SPEC-like ones
+_SPEC_LIKE = {"gzip": 0.5, "parser": 0.7}
+_SOLVED = {}
+
+
+def _solved(source, k, alias):
+    """A bitset engine that has analyzed every section of *source*, the
+    locks it rendered, and a fresh reference engine over the same front
+    half and oracle."""
+    program = lower_program(parse_program(source))
+    pointsto = PointsTo(program).analyze()
+    if alias == "andersen":
+        oracle = AndersenOracle(pointsto,
+                                Andersen(program, pointsto).analyze())
+    else:
+        oracle = AliasOracle(pointsto)
+    cfgs = build_cfgs(program)
+    engine = Engine(program, cfgs, pointsto, k=k, oracle=oracle)
+    reference = ReferenceEngine(program, cfgs, pointsto, k=k, oracle=oracle)
+    return engine, _render(engine), reference
+
+
+def _frame_claims(engine, kill, term):
+    """The two facts the kernel's frame rests on, recomputed from the spec."""
+    write = kill.sub.write
+    write_class = engine.oracle.class_of_term(write.func, write.definite)
+    return (engine.spec.k_limit(kill.func, term) is TRACKED
+            and write_class not in engine.spec.read_classes(kill.func, term))
+
+
+def _check_claim(engine, kill, term):
+    """True if the frame claims *term* under *kill*'s write — in which case
+    the per-term pre-image must agree it is the identity."""
+    claimed = _frame_claims(engine, kill, term)
+    if claimed:
+        assert engine.spec.pre_image(kill.func, kill.sub, term) == (
+            [term], []), f"{kill.func}: {kill.sub.write} on {term}"
+    return claimed
+
+
+@pytest.mark.parametrize("alias", ALIASES)
+@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS) + sorted(_SPEC_LIKE))
+def test_frame_claims_only_identities_on_the_corpus(name, alias):
+    if name in _SPEC_LIKE:
+        source = generate_spec_program(name, _SPEC_LIKE[name], 0)
+    else:
+        source = ALL_BENCHMARKS[name].source
+    claims = 0
+    for k in (1, 9):
+        engine, _, _ = _solved(source, k, alias)
+        for kill in engine._kill_kernels.values():
+            index = engine._read_index.get(kill.func)
+            if index is None:
+                continue  # no fact ever crossed a write of this scope
+            interner = engine._interner
+            # every kill kernel x every fact term seen in its scope
+            for term, _eff in interner.iter_facts(index.known):
+                claims += _check_claim(engine, kill, term)
+            # ... and the mask the kernel used is exactly that claim
+            for term, _eff in interner.iter_facts(kill.known):
+                assert (bool(kill.identity_mask & interner.term_bit(term))
+                        == _frame_claims(engine, kill, term))
+    assert claims > 0
+
+
+_FRAME_SRC = """
+struct e { e* next; int* data; int key; }
+e* head;
+int n;
+void f(e* x, e* y, int* w, int i, int j) {
+  atomic {
+    e* z = x->next;
+    y->next = z;
+    head = y;
+    w[i] = n;
+    z->data = w;
+    x->key = j;
+    i = j + 1;
+    y->next = null;
+    n = x->key;
+  }
+}
+void main() {
+  e* a = new e;
+  e* b = new e;
+  int* d = new int[4];
+  f(a, b, d, 1, 2);
+  f(b, a, d, 0, 1);
+}
+"""
+_FRAME_INDICES = st.recursive(
+    st.one_of(st.sampled_from([IVar("i"), IVar("j"), IVar("n")]),
+              st.integers(0, 3).map(IConst)),
+    lambda inner: st.tuples(inner, inner).map(
+        lambda pair: IBin("+", pair[0], pair[1])),
+    max_leaves=3,
+)
+_FRAME_TERMS = st.recursive(
+    st.sampled_from([TVar(name) for name in
+                     ("x", "y", "z", "w", "i", "j", "head", "n")]),
+    lambda inner: st.one_of(
+        inner.map(TStar),
+        st.tuples(inner, st.sampled_from(("next", "data", "key"))).map(
+            lambda pair: TPlus(pair[0], pair[1])),
+        st.tuples(inner, _FRAME_INDICES).map(
+            lambda pair: TIndex(pair[0], pair[1])),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(term=_FRAME_TERMS)
+def test_frame_claims_only_identities_on_built_terms(term):
+    for alias in ALIASES:
+        if alias not in _SOLVED:
+            _SOLVED[alias] = _solved(_FRAME_SRC, 9, alias)[0]
+        engine = _SOLVED[alias]
+        assert len(engine._kill_kernels) >= 9
+        for kill in engine._kill_kernels.values():
+            _check_claim(engine, kill, term)
+
+
+# (*(*ȳ + .next) + .next): the cell two `next` derefs past y
+_TWO_PAST_Y = TPlus(TStar(TPlus(TStar(TVar("y")), "next")), "next")
+
+
+def _unclaimed_identities(engine):
+    """(kill, term) pairs whose memoized pre-image is the term itself: the
+    identities the per-term path found because the frame did not claim
+    them."""
+    found = []
+    for kill in engine._kill_kernels.values():
+        for tid, (ro_bits, classes) in kill.memo.items():
+            if ro_bits == 1 << (tid << 1) and not classes:
+                term = engine._interner.term(tid)
+                assert not _frame_claims(engine, kill, term)
+                found.append((kill, term))
+    return found
+
+
+def test_null_store_through_a_may_alias_stays_with_the_memo():
+    # `x->next = null` may overwrite the cell `y->next` names (x and y share
+    # a class), but a null content adds no alternative reading: the term
+    # two derefs past y is its own pre-image although it reads a cell of
+    # the written class
+    source = """
+    struct e { e* next; }
+    void f(e* x, e* y) {
+      atomic {
+        x->next = null;
+        e* z = y->next;
+        z->next = null;
+      }
+    }
+    void main() { e* a = new e; f(a, a); }
+    """
+    engine, locks, reference = _solved(source, 9, "steensgaard")
+    (kill, term), = _unclaimed_identities(engine)
+    assert kill.sub.write.ptr_content is None
+    assert kill.write_class in engine.spec.read_classes("f", term)
+    assert term is _TWO_PAST_Y
+    assert locks == _render(reference)
+    assert any(str(term) in lock
+               for section in locks.values() for lock in section)
+
+
+def test_andersen_distinct_cells_in_one_class_stay_with_the_memo():
+    # x and y point to distinct allocations that z merges into one
+    # Steensgaard class: the store through x cannot touch y's object under
+    # the Andersen oracle, yet the class test (rightly) claims nothing
+    source = """
+    struct e { e* next; }
+    void f(int c) {
+      e* x = new e;
+      e* y = new e;
+      e* z = x;
+      z = y;
+      atomic {
+        x->next = y;
+        e* w = y->next;
+        w->next = null;
+      }
+    }
+    """
+    engine, locks, reference = _solved(source, 9, "andersen")
+    (kill, term), = _unclaimed_identities(engine)
+    write = kill.sub.write
+    assert kill.write_class in engine.spec.read_classes("f", term)
+    assert term is _TWO_PAST_Y
+    assert not engine.oracle.may_alias_terms(
+        "f", _TWO_PAST_Y.inner.inner, write.func, write.definite)
+    assert locks == _render(reference)
+    # the unification oracle must rewrite the same term: no identity at all
+    steens, steens_locks, _ = _solved(source, 9, "steensgaard")
+    assert _unclaimed_identities(steens) == []
+    assert steens_locks != locks

@@ -9,7 +9,10 @@ engine must produce lock sets identical — down to the rendered text — to
 uncached, set-based transfer functions).
 
 Both engines share one parse/lower/points-to front half per program so
-points-to class ids are comparable across runs.
+points-to class ids are comparable across runs.  The same comparison runs
+under the Andersen may-alias oracle (k ∈ {1, 9}): the kernel's
+class-indexed frame is only sound relative to the oracle in use, so each
+oracle gets its own kernel ≡ reference check.
 """
 
 import os
@@ -22,7 +25,7 @@ from repro.bench import ALL_BENCHMARKS
 from repro.cfg import build_cfgs
 from repro.inference import Engine, ReferenceEngine
 from repro.lang import lower_program, parse_program
-from repro.pointer import PointsTo
+from repro.pointer import Andersen, AndersenOracle, PointsTo
 
 KS = (0, 1, 3, 9)
 
@@ -43,8 +46,10 @@ print(*sorted(m for m in sys.modules if m.startswith("repro.inference.")))
 """
 
 
-def _section_locks(engine_cls, program, cfgs, pointsto, k, use_effects):
-    engine = engine_cls(program, cfgs, pointsto, k=k, use_effects=use_effects)
+def _section_locks(engine_cls, program, cfgs, pointsto, k, use_effects,
+                   oracle=None):
+    engine = engine_cls(program, cfgs, pointsto, k=k, use_effects=use_effects,
+                        oracle=oracle)
     out = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
@@ -53,22 +58,25 @@ def _section_locks(engine_cls, program, cfgs, pointsto, k, use_effects):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
-def test_optimized_engine_matches_reference(name):
+def _assert_engines_agree(name, alias, ks):
     spec = ALL_BENCHMARKS[name]
     program = lower_program(parse_program(spec.source))
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
-    for k in KS:
+    oracle = None
+    if alias == "andersen":
+        oracle = AndersenOracle(pointsto,
+                                Andersen(program, pointsto).analyze())
+    for k in ks:
         for use_effects in (True, False):
             optimized = _section_locks(Engine, program, cfgs, pointsto, k,
-                                       use_effects)
+                                       use_effects, oracle)
             reference = _section_locks(ReferenceEngine, program, cfgs,
-                                       pointsto, k, use_effects)
+                                       pointsto, k, use_effects, oracle)
             assert optimized.keys() == reference.keys()
             for section_id in reference:
                 assert optimized[section_id] == reference[section_id], (
-                    f"{name} k={k} effects={use_effects} "
+                    f"{name} {alias} k={k} effects={use_effects} "
                     f"section={section_id}"
                 )
                 # byte-identical rendering, not merely set-equal objects
@@ -76,6 +84,16 @@ def test_optimized_engine_matches_reference(name):
                     sorted(str(lock) for lock in optimized[section_id])
                     == sorted(str(lock) for lock in reference[section_id])
                 )
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
+def test_optimized_engine_matches_reference(name):
+    _assert_engines_agree(name, "steensgaard", KS)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
+def test_optimized_engine_matches_reference_under_andersen(name):
+    _assert_engines_agree(name, "andersen", (1, 9))
 
 
 def test_reference_engine_reports_no_cache_activity():
