@@ -5,7 +5,7 @@ requests on the lock tree (evaluating fine-grain descriptors' expressions in
 the acquiring thread's frame), combines modes per node, and returns them in
 the canonical deadlock-free order. ``AcquireSession`` then drives the
 protocol as a simulator coroutine: one work tick per node plus a TRY event
-that blocks until the node grants.
+that blocks until the node grants (re-polled when the node changes).
 
 Nesting (§5.3): each thread keeps an ``nlevel`` counter; only the outermost
 acquire/release pair touches the lock manager.
@@ -20,6 +20,7 @@ from ..obs.trace import get_tracer
 from ..sim.scheduler import TRY
 from .manager import LockManager, ROOT, canonical_order
 from .modes import combine, intention_for_effect, mode_for_effect
+from .resilience import SectionAbort
 
 
 class ThreadLockState:
@@ -80,9 +81,13 @@ def acquire_all(manager: LockManager, tid: int,
     it, and the coroutine raises
     :class:`~repro.runtime.resilience.SectionAbort` into the section's
     retry loop instead of taking the node.
-    """
-    from .resilience import SectionAbort  # runtime import: avoid cycle
 
+    The plain wait is a *gated* TRY event: its grant decision depends on
+    the node alone, so the node rides along and the scheduler re-polls
+    only when ``node.version`` has moved. The resilient wait also reads
+    the abort flag, which no node version witnesses, so it stays an
+    opaque predicate polled every tick.
+    """
     tracer = get_tracer()
     manager.stats.acquires += 1
     for name, mode in ordered_requests:
@@ -94,7 +99,8 @@ def acquire_all(manager: LockManager, tid: int,
             wait_from = tracer.now_ticks if tracer.enabled else 0
             if runtime is None:
                 yield (TRY, lambda name=name, mode=mode:
-                       manager.try_acquire_node(tid, name, mode))
+                       manager.try_acquire_node(tid, name, mode),
+                       manager.node(name))
             else:
                 # abort check first: after a watchdog revocation the
                 # victim must not re-enter the grant queue

@@ -23,24 +23,39 @@ from ..obs.metrics import MetricsRegistry
 from .modes import combine, compatible
 
 
-class LockNode:
-    """One node in the lock tree."""
+_UNQUEUED = float("inf")  # FIFO rank of a request that is not yet waiting
 
-    __slots__ = ("name", "holders", "waiters", "_wait_counter")
+
+class LockNode:
+    """One node in the lock tree.
+
+    ``version`` counts the mutations of ``holders`` and ``waiters``: it is
+    bumped by every grant, every first waiter registration or waiter mode
+    change, and every ``release``. ``can_grant`` reads nothing else, so
+    while ``version`` stands still a refused request stays refused — the
+    simulator's gated TRY event (``repro.sim.scheduler``) re-polls a
+    blocked thread only when the node it waits on has moved.
+    """
+
+    __slots__ = ("name", "holders", "waiters", "_wait_counter", "version")
 
     def __init__(self, name: object) -> None:
         self.name = name
         self.holders: Dict[int, str] = {}  # thread id -> combined mode
         self.waiters: Dict[int, Tuple[int, str]] = {}  # tid -> (order, mode)
         self._wait_counter = 0
+        self.version = 0
 
     def can_grant(self, tid: int, mode: str) -> bool:
         for other, held in self.holders.items():
             if other != tid and not compatible(mode, held):
                 return False
+        waiters = self.waiters
+        if not waiters:
+            return True
         # FIFO, no overtaking: a fresh request ranks after every waiter.
-        my_order = self.waiters[tid][0] if tid in self.waiters else float("inf")
-        for other, (order, wmode) in self.waiters.items():
+        my_order = waiters[tid][0] if tid in waiters else _UNQUEUED
+        for other, (order, wmode) in waiters.items():
             if other == tid or order > my_order:
                 continue
             if not compatible(mode, wmode):
@@ -53,18 +68,23 @@ class LockNode:
         if self.can_grant(tid, needed):
             self.holders[tid] = needed
             self.waiters.pop(tid, None)
+            self.version += 1
             return True
-        if tid not in self.waiters:
+        waiting = self.waiters.get(tid)
+        if waiting is None:
             self._wait_counter += 1
             self.waiters[tid] = (self._wait_counter, needed)
-        else:
-            order, _ = self.waiters[tid]
-            self.waiters[tid] = (order, needed)
+            self.version += 1
+        elif waiting[1] != needed:
+            self.waiters[tid] = (waiting[0], needed)
+            self.version += 1
         return False
 
     def release(self, tid: int) -> None:
+        """Drop *tid*'s grant and its waiter registration, if any."""
         self.holders.pop(tid, None)
         self.waiters.pop(tid, None)
+        self.version += 1
 
 
 ROOT = ("root",)
@@ -163,9 +183,11 @@ class LockManager:
         for node in reversed(self.held.get(tid, [])):
             node.release(tid)
         # drop waiter registrations on nodes the thread never acquired
-        # (e.g. a validate-and-retry release while a request was pending)
+        # (e.g. a validate-and-retry release while a request was pending);
+        # release() bumps the node's version, so a thread queued FIFO
+        # behind the registration is re-polled on the next tick
         for node in self._waiting.pop(tid, {}).values():
-            node.waiters.pop(tid, None)
+            node.release(tid)
         self.held[tid] = []
         self._held_names[tid] = set()
 

@@ -7,12 +7,27 @@ Threads are generators. Each value they yield is an *event*:
 * ``(TRY, fn)`` — attempt ``fn()``; if it returns True the thread continues
   (the attempt consumed this tick); if False the thread is *blocked* and the
   scheduler re-attempts ``fn()`` on subsequent ticks without consuming core
-  slots until it succeeds.
+  slots until it succeeds;
+* ``(TRY, fn, gate)`` — the same, for a predicate whose answer is a pure
+  function of one object's state. *gate* is that object; its ``version``
+  attribute must change whenever the state ``fn`` reads does. The scheduler
+  remembers the version it saw at each failed attempt and re-runs ``fn()``
+  only on ticks where it differs — a wait that wakes on change, not on
+  tick. ``fn`` must be idempotent when it fails on unchanged state (a
+  refused ``LockNode.try_acquire`` is). The lock runtime's plain waits are
+  gated on the lock node; an opaque two-element predicate (the resilient
+  wait, which also reads an abort flag) is polled every tick.
 
 On each tick, up to ``ncores`` runnable threads advance by one work unit, in
 round-robin order (rotating the start index for fairness). Blocked threads
-re-try their predicates at the start of every tick, in blocking order (FIFO),
-which lets lock-manager grant order stay deterministic.
+are considered at the start of every tick, in blocking order (FIFO), which
+lets lock-manager grant order stay deterministic; the gate only skips
+attempts whose outcome is already known, so grant order, ticks and every
+statistic are those of polling each predicate each tick. The live-thread
+list and the blocked FIFO are kept incrementally: blocking order only
+grows, so a thread is appended as it blocks, and the lists are compacted
+only on a tick where a thread woke (right after the wake pass, before any
+thread advances and can block again) or finished.
 
 A tick where no thread is runnable and none can unblock is a deadlock; the
 scheduler raises :class:`DeadlockError` (the transformed programs must never
@@ -122,7 +137,7 @@ class SimThread:
     """
 
     __slots__ = ("tid", "gen", "state", "pending_work", "try_fn",
-                 "block_order", "current")
+                 "gate", "seen", "current")
 
     def __init__(self, tid: int, gen: Generator) -> None:
         self.tid = tid
@@ -130,7 +145,8 @@ class SimThread:
         self.state = "runnable"  # runnable | blocked | done
         self.pending_work = 0  # remaining ticks of the current work event
         self.try_fn: Optional[Callable[[], bool]] = None
-        self.block_order = 0
+        self.gate = None  # the blocked TRY's change witness, if it has one
+        self.seen = 0  # gate.version at the last failed attempt
         self.current = None  # the prefetched event
         self.fetch()
 
@@ -161,12 +177,15 @@ class Scheduler:
         self.metrics = MetricsRegistry()
         self.stats = SimStats(ncores=ncores)
         self.stats.bind(self.metrics)
-        self._block_counter = 0
+        self._live: List[SimThread] = []  # unfinished, in spawn order
+        self._blocked: List[SimThread] = []  # the FIFO, in blocking order
         self._stall = 0  # consecutive no-progress ticks with blocked threads
 
     def spawn(self, gen: Generator) -> SimThread:
         thread = SimThread(len(self.threads), gen)
         self.threads.append(thread)
+        if thread.state != "done":
+            self._live.append(thread)
         self.stats.per_thread_work[thread.tid] = 0
         self.stats.per_thread_blocked[thread.tid] = 0
         self.stats.per_thread_failed_tries[thread.tid] = 0
@@ -217,8 +236,12 @@ class Scheduler:
                 return True
             thread.state = "blocked"
             thread.try_fn = fn
-            self._block_counter += 1
-            thread.block_order = self._block_counter
+            gate = event[2] if len(event) > 2 else None
+            thread.gate = gate
+            if gate is not None:
+                # read after the attempt, which may itself have moved it
+                thread.seen = gate.version
+            self._blocked.append(thread)
             return False
         raise ValueError(f"unknown sim event {event!r}")
 
@@ -233,88 +256,112 @@ class Scheduler:
             finally:
                 self.stats.publish()
 
+    def _retry(self, thread: SimThread) -> bool:
+        """Re-attempt a blocked thread's predicate; True when it woke."""
+        if thread.try_fn():
+            thread.state = "runnable"
+            thread.try_fn = None
+            thread.gate = None
+            thread.fetch()
+            return True
+        if thread.gate is not None:
+            thread.seen = thread.gate.version
+        return False
+
+    def _compact(self) -> None:
+        """Drop woken threads from the FIFO and finished ones from the
+        live list; both keep their order."""
+        self._blocked = [t for t in self._blocked if t.state == "blocked"]
+        self._live = [t for t in self._live if t.state != "done"]
+
     def _run_loop(self, tracer) -> SimStats:
+        stats = self.stats
         while True:
             if tracer.enabled:
                 # eval/runtime hooks read the current tick off the tracer
                 # when opening/closing tick-clock spans
-                tracer.now_ticks = self.stats.ticks
-            unfinished = [t for t in self.threads if t.state != "done"]
-            if not unfinished:
-                return self.stats
-            if self.stats.ticks >= self.max_ticks:
+                tracer.now_ticks = stats.ticks
+            live = self._live
+            if not live:
+                return stats
+            if stats.ticks >= self.max_ticks:
                 raise RuntimeError(
                     f"simulation exceeded {self.max_ticks} ticks (livelock?)"
                 )
-            if self.stats.ticks % CHECK_EVERY_TICKS == 0:
+            if stats.ticks % CHECK_EVERY_TICKS == 0:
                 check_deadline()
             if self.watchdog is not None:
                 self.watchdog(self)
-            # 1. wake blocked threads whose predicates now succeed (FIFO)
-            blocked = sorted(
-                (t for t in unfinished if t.state == "blocked"),
-                key=lambda t: t.block_order,
-            )
+            # 1. wake blocked threads whose predicates now succeed (FIFO);
+            # a gated predicate is re-run only if its gate has moved
+            blocked = self._blocked
             woke = False
             for thread in blocked:
-                if thread.try_fn is not None and thread.try_fn():
-                    thread.state = "runnable"
-                    thread.try_fn = None
-                    thread.fetch()
+                gate = thread.gate
+                if gate is not None and gate.version == thread.seen:
+                    continue
+                if self._retry(thread):
                     woke = True
+            if woke:
+                # before anyone advances: a woken thread whose next event
+                # is a TRY that fails this same tick re-enters the FIFO at
+                # the back, once. `blocked` keeps this tick's full list
+                # for the deadlock report and the occupancy sample
+                self._compact()
             # 2. advance the policy's pick of the runnable threads
-            runnable = [t for t in unfinished if t.state == "runnable"]
+            runnable = [t for t in live if t.state == "runnable"]
             if not runnable:
                 if blocked:
                     if self.watchdog is not None:
                         # emergency scan: the watchdog may abort a victim,
                         # whose wait predicate then reports success (the
-                        # abort flag) and unblocks it into its retry loop
+                        # abort flag) and unblocks it into its retry loop;
+                        # rare, so every predicate is re-run, gated or not
                         self.watchdog(self)
                         for thread in blocked:
-                            if (thread.state == "blocked"
-                                    and thread.try_fn is not None
-                                    and thread.try_fn()):
-                                thread.state = "runnable"
-                                thread.try_fn = None
-                                thread.fetch()
-                        runnable = [t for t in unfinished
-                                    if t.state == "runnable"]
-                        if runnable:
+                            if thread.state == "blocked":
+                                self._retry(thread)
+                        if any(t.state == "runnable" for t in live):
+                            self._compact()
                             self._stall = 0
                             continue
                     raise DeadlockError(
                         "all threads blocked: "
                         + ", ".join(repr(t) for t in blocked)
                     )
-                return self.stats
-            chosen = self.policy.choose(runnable, self.ncores, self.stats.ticks)
+                return stats
+            chosen = self.policy.choose(runnable, self.ncores, stats.ticks)
             if not chosen:
                 chosen = runnable[:1]
-            if tracer.enabled and self.stats.ticks % OCCUPANCY_SAMPLE_TICKS == 0:
+            if tracer.enabled and stats.ticks % OCCUPANCY_SAMPLE_TICKS == 0:
                 tracer.sample("sim.occupancy", {
                     "runnable": len(runnable),
                     "blocked": len(blocked),
                     "chosen": len(chosen),
                 })
-            self.stats.ticks += 1
+            stats.ticks += 1
             if tracer.enabled:
-                tracer.now_ticks = self.stats.ticks
+                tracer.now_ticks = stats.ticks
             finished = False
             for thread in chosen:
                 did_work = self._advance(thread)
                 if thread.state == "done":
                     finished = True
                 if did_work:
-                    self.stats.work_done += 1
-                    self.stats.per_thread_work[thread.tid] += 1
+                    stats.work_done += 1
+                    stats.per_thread_work[thread.tid] += 1
                 else:
-                    self.stats.failed_tries += 1
-                    self.stats.per_thread_failed_tries[thread.tid] += 1
-            still_blocked = [t for t in unfinished if t.state == "blocked"]
-            for thread in still_blocked:
-                self.stats.blocked_ticks += 1
-                self.stats.per_thread_blocked[thread.tid] += 1
+                    stats.failed_tries += 1
+                    stats.per_thread_failed_tries[thread.tid] += 1
+            if finished:
+                self._compact()
+            # threads that blocked this tick were appended by _advance
+            still_blocked = self._blocked
+            if still_blocked:
+                stats.blocked_ticks += len(still_blocked)
+                per_thread_blocked = stats.per_thread_blocked
+                for thread in still_blocked:
+                    per_thread_blocked[thread.tid] += 1
             # 3. livelock window: blocked threads exist but nobody was
             # granted and nobody finished — count the stall; a wake, a
             # completion, or an all-runnable tick resets it
@@ -322,10 +369,12 @@ class Scheduler:
                 self._stall += 1
                 if (self.livelock_window is not None
                         and self._stall >= self.livelock_window):
+                    # reported in spawn order, not blocking order
+                    stuck = sorted(still_blocked, key=lambda t: t.tid)
                     raise LivelockError(
                         f"no progress for {self._stall} ticks; blocked: "
-                        + ", ".join(repr(t) for t in still_blocked),
-                        blocked_tids=[t.tid for t in still_blocked],
+                        + ", ".join(repr(t) for t in stuck),
+                        blocked_tids=[t.tid for t in stuck],
                     )
             else:
                 self._stall = 0

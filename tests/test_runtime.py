@@ -14,6 +14,7 @@ from repro.runtime import (
     SIX,
     X,
     LockManager,
+    acquire_all,
     canonical_order,
     combine,
     compatible,
@@ -23,6 +24,7 @@ from repro.runtime import (
     mode_for_effect,
     plan_requests,
 )
+from repro.sim import Scheduler
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +165,61 @@ def test_release_all_keeps_other_threads_waiters():
     # tid 2's waiter survived: FIFO still blocks a later reader
     assert not mgr.try_acquire_node(3, ROOT, S)
     assert mgr.try_acquire_node(2, ROOT, X)
+
+
+def test_node_version_moves_with_every_holder_or_waiter_change():
+    mgr = LockManager()
+    node = mgr.node(ROOT)
+    seen = [node.version]
+
+    def moved():
+        seen.append(node.version)
+        return seen[-1] != seen[-2]
+
+    assert mgr.try_acquire_node(1, ROOT, IX) and moved()  # grant
+    assert not mgr.try_acquire_node(2, ROOT, S) and moved()  # registration
+    assert not mgr.try_acquire_node(2, ROOT, S) and not moved()  # re-poll
+    assert not mgr.try_acquire_node(2, ROOT, X) and moved()  # mode change
+    mgr.release_all(2)  # registration on a never-acquired node dropped
+    assert moved()
+    mgr.release_all(1)
+    assert moved()
+
+
+def test_abandoned_registration_wakes_the_thread_queued_behind_it():
+    """Pinned lost-wakeup scenario for the version-gated wait.
+
+    tid 2's read is compatible with the holder and refused only by the
+    FIFO rule, behind tid 1's pending write. tid 1 then abandons that
+    request (validate-and-retry: ``release_all`` on a node it never
+    acquired). That is a change to the node: tid 2 must be granted on
+    the very next tick. If dropping the registration did not bump the
+    node's version, tid 2 would never be re-polled and the run would end
+    in DeadlockError."""
+    mgr = LockManager()
+    name = LockManager.class_node_name(0)
+    assert mgr.try_acquire_node(0, name, S)  # a reader that stays
+    assert not mgr.try_acquire_node(1, name, X)  # writer queues behind it
+    scheduler = Scheduler(ncores=2)
+    granted_at = []
+
+    def follower():
+        yield from acquire_all(mgr, 2, [(name, S)])
+        granted_at.append(scheduler.stats.ticks)
+        yield 1
+
+    def abandoner():
+        yield 3
+        mgr.release_all(1)
+        yield 3
+
+    scheduler.spawn(follower())
+    scheduler.spawn(abandoner())
+    stats = scheduler.run()
+    # the registration is dropped during tick 3; the grant is tick 4's wake
+    assert granted_at == [3]
+    assert mgr.node(name).holders == {0: S, 2: S}
+    assert (stats.ticks, stats.blocked_ticks, stats.failed_tries) == (6, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,58 @@ def test_failed_try_not_counted_as_work():
     assert stats.utilization == pytest.approx(4 / (3 * 2))
 
 
+def test_wake_into_a_second_failing_try_on_the_same_tick():
+    """Back-to-back TRY events, three cores, one token.
+
+    A and C block on tick 1 (FIFO: A, C). A wakes from its first wait at
+    the start of tick 2 and its second TRY fails on that same tick: it
+    re-enters the FIFO once, at the back (C, A), and is counted blocked
+    once per tick. B frees the token at the end of tick 3; C takes it on
+    tick 4 and hands it to A on tick 5.
+    """
+    state = {"go": False, "free": False}
+    grants = []
+
+    def take(name):
+        def attempt():
+            if not state["free"]:
+                return False
+            state["free"] = False
+            grants.append(name)
+            return True
+        return attempt
+
+    def a():
+        yield (TRY, lambda: state["go"])
+        yield (TRY, take("a"))
+        yield 1
+        state["free"] = True
+        yield 1
+
+    def c():
+        yield (TRY, take("c"))
+        yield 1
+        state["free"] = True
+        yield 1
+
+    def b():
+        yield 1
+        state["go"] = True
+        yield 1
+        yield 1
+        state["free"] = True
+        yield 1
+
+    stats = run_threads([a(), c(), b()], ncores=3)
+    assert grants == ["c", "a"]  # blocking order, not spawn order
+    assert stats.ticks == 6
+    assert stats.work_done == 8
+    assert stats.failed_tries == 3
+    assert stats.per_thread_failed_tries == {0: 2, 1: 1, 2: 0}
+    assert stats.blocked_ticks == 7
+    assert stats.per_thread_blocked == {0: 4, 1: 3, 2: 0}
+
+
 def test_successful_try_counts_as_work():
     def taker():
         yield (TRY, lambda: True)  # succeeds inline: consumed the tick
