@@ -53,9 +53,11 @@ class BenchSpec:
         return result
 
 
-def _micro(put: str, get: str, remove: str) -> OpMaker:
+def _micro(put: str, get: str, remove: str,
+           put_takes_value: bool = True) -> OpMaker:
     def maker(setting: str, rng: random.Random, n_ops: int) -> List[Op]:
-        return workload.micro_ops(put, get, remove, setting, rng, n_ops)
+        return workload.micro_ops(put, get, remove, setting, rng, n_ops,
+                                  put_takes_value=put_takes_value)
 
     return maker
 
@@ -76,7 +78,8 @@ MICRO_BENCHMARKS: Dict[str, BenchSpec] = {
     "list": BenchSpec(
         name="list",
         source=micro.LIST_SRC,
-        make_ops=_micro("list_insert", "list_contains", "list_remove"),
+        make_ops=_micro("list_insert", "list_contains", "list_remove",
+                        put_takes_value=False),  # void list_insert(int k)
         settings=("low", "high"),
     ),
     "hashtable-2": BenchSpec(

@@ -42,14 +42,18 @@ def micro_ops(
     rng: random.Random,
     n_ops: int,
     keyspace: int = 256,
+    put_takes_value: bool = True,
 ) -> List[Op]:
+    """*put_takes_value* is False for a set (``put(k)``); the value is
+    drawn regardless, so every harness sees the same key stream."""
     mix = LOW_MIX if setting == "low" else HIGH_MIX
     ops: List[Op] = []
     for _ in range(n_ops):
         kind = _pick(rng, mix)
         key = rng.randrange(keyspace)
         if kind == 0:
-            ops.append((put, (key, rng.randrange(1000))))
+            value = rng.randrange(1000)
+            ops.append((put, (key, value) if put_takes_value else (key,)))
         elif kind == 1:
             ops.append((get, (key,)))
         else:

@@ -37,13 +37,23 @@ class ProtectionChecker:
     def __init__(self, pointsto: PointsTo) -> None:
         self.pointsto = pointsto
         self.checked = 0
+        self._site_classes: Dict[Tuple[int, object], Optional[int]] = {}
 
     def class_of_cell(self, loc: Loc) -> Optional[int]:
         obj = loc.obj
         if obj.kind == "heap":
             if obj.site is None:
                 return None
-            return self.pointsto.class_of_site_cell(obj.site, loc.off)
+            off = loc.off
+            # the analysis is over by now, and every array cell of a
+            # site is one class: remember the answer per (site, field)
+            key = (obj.site, 0 if off.__class__ is int else off)
+            try:
+                return self._site_classes[key]
+            except KeyError:
+                cls = self._site_classes[key] = (
+                    self.pointsto.class_of_site_cell(obj.site, off))
+                return cls
         if obj.kind == "global":
             return self.pointsto.class_of_var("", str(loc.off))
         return None  # frame cells are thread-private

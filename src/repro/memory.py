@@ -22,23 +22,21 @@ CellKey = Tuple[int, Offset]  # (object id, offset) — hashable cell identity
 class Obj:
     """One allocated object (heap record, array, frame, or globals block)."""
 
-    __slots__ = ("oid", "site", "kind", "cells", "label", "fresh_owner")
+    __slots__ = ("oid", "site", "kind", "shared", "cells", "label",
+                 "fresh_owner")
 
     def __init__(self, oid: int, site: Optional[int], kind: str,
                  label: str = "") -> None:
         self.oid = oid
         self.site = site  # allocation-site id (heap objects only)
         self.kind = kind  # "heap" | "frame" | "global"
+        self.shared = kind != "frame"  # frame cells are thread-private
         self.cells: Dict[Offset, "Value"] = {}
         self.label = label
         # Thread id that allocated this object inside a still-open atomic
         # section; such objects are unreachable by other threads (paper
         # Lemma 2) and exempt from the protection check until section end.
         self.fresh_owner: Optional[int] = None
-
-    @property
-    def shared(self) -> bool:
-        return self.kind != "frame"
 
     def __repr__(self) -> str:
         tag = self.label or self.kind

@@ -88,6 +88,13 @@ class SimStats:
     per_thread_failed_tries: Dict[int, int] = field(default_factory=dict)
     _registry: Optional[MetricsRegistry] = field(
         default=None, repr=False, compare=False)
+    # A blocked thread's share of ``blocked_ticks`` is settled when it
+    # wakes (or at ``publish``), not one dict update per thread per tick:
+    # the clock counts the ticks whose blocked threads have been totalled,
+    # and each blocked thread remembers the clock it blocked at.
+    _blocked_clock: int = field(default=0, repr=False, compare=False)
+    _blocked_since: Dict[int, int] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def bind(self, registry: MetricsRegistry) -> None:
         """Adopt the per-thread dicts as labeled counter families.
@@ -107,8 +114,20 @@ class SimStats:
             "sim.thread.failed_tries", self.per_thread_failed_tries, "tid",
             help="failed TRY attempts per simulated thread")
 
+    def block(self, tid: int) -> None:
+        self._blocked_since[tid] = self._blocked_clock
+
+    def unblock(self, tid: int) -> None:
+        self.per_thread_blocked[tid] += (
+            self._blocked_clock - self._blocked_since.pop(tid))
+
     def publish(self) -> None:
-        """Mirror the scalar totals into the bound registry's gauges."""
+        """Settle the threads still blocked (a run that ends in a
+        deadlock, a livelock or a thread's own error leaves some), then
+        mirror the scalar totals into the bound registry's gauges."""
+        for tid in list(self._blocked_since):
+            self.unblock(tid)
+            self.block(tid)
         if self._registry is None:
             return
         totals = self._registry.gauge("sim.totals", ("name",),
@@ -235,6 +254,7 @@ class Scheduler:
                 thread.fetch()
                 return True
             thread.state = "blocked"
+            self.stats.block(thread.tid)
             thread.try_fn = fn
             gate = event[2] if len(event) > 2 else None
             thread.gate = gate
@@ -260,6 +280,7 @@ class Scheduler:
         """Re-attempt a blocked thread's predicate; True when it woke."""
         if thread.try_fn():
             thread.state = "runnable"
+            self.stats.unblock(thread.tid)
             thread.try_fn = None
             thread.gate = None
             thread.fetch()
@@ -359,9 +380,7 @@ class Scheduler:
             still_blocked = self._blocked
             if still_blocked:
                 stats.blocked_ticks += len(still_blocked)
-                per_thread_blocked = stats.per_thread_blocked
-                for thread in still_blocked:
-                    per_thread_blocked[thread.tid] += 1
+                stats._blocked_clock += 1
             # 3. livelock window: blocked threads exist but nobody was
             # granted and nobody finished — count the stall; a wake, a
             # completion, or an all-runnable tick resets it

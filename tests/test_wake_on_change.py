@@ -368,10 +368,46 @@ def run_raw(programs, ncores, policy_name, seed, reference):
 # thread 0 finishes on the fetch that follows its wake
 @example([[("wait", 0)], [("tick",), ("set", 0), ("work", 2, False)]],
          2, "round-robin", 0)
+# the run ends in a deadlock with two threads still blocked, one of them
+# (thread 2) since an earlier tick and once woken in between: their
+# per-thread blocked ticks are settled when the run ends, not at a wake
+@example([[("take", 0, True), ("take", 1, True)],
+          [("take", 1, True), ("work", 2, False), ("take", 0, True)],
+          [("wait", 0), ("take", 0, False)],
+          [("tick",), ("set", 0)]],
+         3, "round-robin", 0)
+# ... and in a livelock: thread 1 spins while thread 0 waits for a flag
+@example([[("wait", 1)], [("work", 3, False)] * 4],
+         2, "round-robin", 0)
 def test_raw_event_streams_identical_to_poll_and_rebuild(
         programs, ncores, policy_name, seed):
-    assert (run_raw(programs, ncores, policy_name, seed, reference=False)
-            == run_raw(programs, ncores, policy_name, seed, reference=True))
+    ours = run_raw(programs, ncores, policy_name, seed, reference=False)
+    assert ours == run_raw(programs, ncores, policy_name, seed,
+                           reference=True)
+    stats = ours[0]
+    assert sum(stats.per_thread_blocked.values()) == stats.blocked_ticks
+
+
+def test_blocked_ticks_settled_when_a_thread_raises_mid_tick():
+    """A thread's own error ends the run half-way through a tick: the
+    threads blocked at that point are charged the ticks that were
+    totalled, not the one that was cut short."""
+    def waiter():
+        yield (TRY, lambda: False)
+
+    def bomb():
+        yield 2
+        raise ValueError("boom")
+
+    scheduler = Scheduler(ncores=2)
+    scheduler.spawn(waiter())
+    scheduler.spawn(bomb())
+    with pytest.raises(ValueError):
+        scheduler.run()
+    stats = scheduler.stats
+    assert stats.ticks == 2  # the second tick never finished
+    assert stats.blocked_ticks == 1
+    assert stats.per_thread_blocked == {0: 1, 1: 0}
 
 
 # ---------------------------------------------------------------------------
