@@ -29,77 +29,23 @@ Quickstart::
     program = transform_with_inference(result)   # lock-based program
 """
 
-from .bench import (
-    ALL_BENCHMARKS,
-    CONFIGS,
-    MICRO_BENCHMARKS,
-    STAMP_BENCHMARKS,
-    BenchSpec,
-    RunResult,
-    run_benchmark,
-)
-from .inference import (
-    InferenceResult,
-    LockClassCounts,
-    LockInference,
-    infer_locks,
-    transform_global,
-    transform_program,
-    transform_with_inference,
-)
-from .interp import ProtectionError, ThreadExec, World
-from .lang import lower_program, parse_program, print_lowered_program, print_program
-from .locks import (
-    RO,
-    RW,
-    EffectScheme,
-    FieldScheme,
-    KLimitScheme,
-    Lock,
-    PointsToScheme,
-    ProductScheme,
-)
-from .pointer import AliasOracle, PointsTo
-from .sim import Scheduler
-from .stm import TL2System, TL2Tx, TxAbort
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "parse_program",
-    "lower_program",
-    "print_program",
-    "print_lowered_program",
-    "infer_locks",
-    "LockInference",
-    "InferenceResult",
-    "LockClassCounts",
-    "transform_program",
-    "transform_with_inference",
-    "transform_global",
-    "PointsTo",
-    "AliasOracle",
-    "Lock",
-    "RO",
-    "RW",
-    "KLimitScheme",
-    "PointsToScheme",
-    "EffectScheme",
-    "FieldScheme",
-    "ProductScheme",
-    "World",
-    "ThreadExec",
-    "ProtectionError",
-    "Scheduler",
-    "TL2System",
-    "TL2Tx",
-    "TxAbort",
-    "BenchSpec",
-    "ALL_BENCHMARKS",
-    "MICRO_BENCHMARKS",
-    "STAMP_BENCHMARKS",
-    "CONFIGS",
-    "RunResult",
-    "run_benchmark",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "lang": ("parse_program", "lower_program", "print_program",
+             "print_lowered_program"),
+    "inference": ("infer_locks", "LockInference", "InferenceResult",
+                  "LockClassCounts", "transform_program",
+                  "transform_with_inference", "transform_global"),
+    "pointer": ("PointsTo", "AliasOracle"),
+    "locks": ("Lock", "RO", "RW", "KLimitScheme", "PointsToScheme",
+              "EffectScheme", "FieldScheme", "ProductScheme"),
+    "interp": ("World", "ThreadExec", "ProtectionError"),
+    "sim": ("Scheduler",),
+    "stm": ("TL2System", "TL2Tx", "TxAbort"),
+    "bench": ("BenchSpec", "ALL_BENCHMARKS", "MICRO_BENCHMARKS",
+              "STAMP_BENCHMARKS", "CONFIGS", "RunResult", "run_benchmark"),
+})
+__all__.append("__version__")

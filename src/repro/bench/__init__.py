@@ -1,45 +1,13 @@
 """Benchmark programs, workloads, configurations, and harness (paper §6)."""
 
-from .configs import (
-    ALL_BENCHMARKS,
-    CONFIGS,
-    CONFIG_K,
-    MICRO_BENCHMARKS,
-    STAMP_BENCHMARKS,
-    BenchSpec,
-)
-from .executor import (
-    Cell,
-    CellResult,
-    CellTimeout,
-    ExecutorOptions,
-    ablation_k_cells,
-    cell_key,
-    figure8_cells,
-    run_cells,
-    table2_cells,
-)
-from .harness import RunResult, build_world, run_benchmark, run_config_sweep, run_seq
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenchSpec",
-    "ALL_BENCHMARKS",
-    "MICRO_BENCHMARKS",
-    "STAMP_BENCHMARKS",
-    "CONFIGS",
-    "CONFIG_K",
-    "RunResult",
-    "run_benchmark",
-    "run_config_sweep",
-    "build_world",
-    "run_seq",
-    "Cell",
-    "CellResult",
-    "CellTimeout",
-    "ExecutorOptions",
-    "run_cells",
-    "cell_key",
-    "table2_cells",
-    "figure8_cells",
-    "ablation_k_cells",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "configs": ("BenchSpec", "ALL_BENCHMARKS", "MICRO_BENCHMARKS",
+                "STAMP_BENCHMARKS", "CONFIGS", "CONFIG_K"),
+    "harness": ("RunResult", "run_benchmark", "run_config_sweep",
+                "build_world", "run_seq"),
+    "executor": ("Cell", "CellResult", "CellTimeout", "ExecutorOptions",
+                 "run_cells", "cell_key", "table2_cells", "figure8_cells",
+                 "ablation_k_cells"),
+})

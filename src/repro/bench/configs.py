@@ -14,14 +14,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..defaults import CONFIGS
 from ..inference import SharedAnalysis, shared_analysis
 from . import workload
 from .programs import micro, stamp
 
 Op = Tuple[str, Tuple[int, ...]]
 OpMaker = Callable[[str, random.Random, int], List[Op]]
-
-CONFIGS = ("global", "coarse", "fine+coarse", "stm")
 
 CONFIG_K = {"coarse": 0, "fine+coarse": 9}
 

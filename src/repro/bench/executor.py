@@ -42,6 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..defaults import DEFAULT_CACHE_DIR
 from ..obs.events import envelope
 from ..obs.trace import get_tracer
 from ..sim.deadline import DeadlineExceeded, clear_deadline, set_deadline
@@ -49,11 +50,6 @@ from .configs import ALL_BENCHMARKS, CONFIG_K, CONFIGS, BenchSpec
 from .harness import RunResult, run_benchmark, seed_inference_cache
 
 CACHE_VERSION = 1
-
-DEFAULT_CACHE_DIR = os.path.normpath(os.path.join(
-    os.path.dirname(__file__), "..", "..", "..",
-    "benchmarks", "results", "cache",
-))
 
 
 class CellTimeout(Exception):

@@ -1,26 +1,10 @@
 """Control-flow graph construction over the lowered IR."""
 
-from .build import build_cfg, build_cfgs
-from .callgraph import (
-    CallSchedule,
-    build_schedule,
-    call_graph,
-    cone_hashes,
-    function_text,
-    tarjan_sccs,
-)
-from .graph import CFG, Node, SectionInfo
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CFG",
-    "Node",
-    "SectionInfo",
-    "build_cfg",
-    "build_cfgs",
-    "CallSchedule",
-    "build_schedule",
-    "call_graph",
-    "cone_hashes",
-    "function_text",
-    "tarjan_sccs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "graph": ("CFG", "Node", "SectionInfo"),
+    "build": ("build_cfg", "build_cfgs"),
+    "callgraph": ("CallSchedule", "build_schedule", "call_graph",
+                  "cone_hashes", "function_text", "tarjan_sccs"),
+})

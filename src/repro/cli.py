@@ -10,8 +10,7 @@ Commands:
   ``--profile`` appends the AnalysisProfile (phase timers, per-SCC
   timings, solver counters, disk-cache traffic,
   the bitset kernel's mask-hit rate / fallback count / fact-interner
-  size / peak IN-set popcount, alias-class cache traffic, intern-table
-  sizes);
+  size / peak IN-set popcount, intern-table sizes);
 * ``transform <file.mc> [--k K]`` — print the transformed (acquireAll /
   releaseAll) program;
 * ``run <bench> --config CFG [--threads N] [--ops N] [--setting S]`` —
@@ -40,6 +39,11 @@ Commands:
   when violations are found — or, with ``--inject-fault``, when the
   seeded bug is *not* detected (checker vacuity canary);
 * ``list-benchmarks`` — show the registered benchmark programs.
+
+Only ``argparse`` and what :func:`build_parser` needs are imported here;
+each ``cmd_*`` imports what it runs, so a fresh process pays for its own
+subcommand only (``tests/test_import_budget.py`` pins what ``analyze``
+and ``transform`` may load).
 """
 
 from __future__ import annotations
@@ -48,41 +52,60 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench import ALL_BENCHMARKS, CONFIGS, run_benchmark
-from .bench.reporting import figure7, figure7_counts
-from .inference import (AnalysisBudget, BudgetExhausted, LockInference,
-                        transform_with_inference)
-from .lang import SourceError, parse_program, print_lowered_program
-from .lang.validate import validate_program
+from .defaults import CONFIGS, DEFAULT_CACHE_DIR
 
 
-def _read_source(path: str) -> str:
-    with open(path) as handle:
-        return handle.read()
+def _read_source(path: str) -> Optional[str]:
+    """The text of *path*, or None after saying on stderr why it cannot be
+    read; the caller exits 2, as for any other malformed input."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = err.strerror if isinstance(err, OSError) else err
+        print(f"error[read]: cannot read {path}: {reason}", file=sys.stderr)
+        return None
 
 
-def _budget_from_args(args: argparse.Namespace) -> Optional[AnalysisBudget]:
+def _load_program(path: str):
+    """``(text, validated ast.Program)`` of the file at *path*, or None
+    after printing the diagnostic; the caller exits 2."""
+    from .lang import SourceError, parse_program
+    from .lang.validate import validate_program
+
+    source = _read_source(path)
+    if source is None:
+        return None
+    try:
+        program = parse_program(source)
+        validate_program(program)
+    except SourceError as err:
+        print(err.diagnostic(source), file=sys.stderr)
+        return None
+    return source, program
+
+
+def _budget_from_args(args: argparse.Namespace):
     if (args.budget_seconds is None and args.budget_steps is None
             and args.budget_rss_mb is None):
         return None
+    from .inference import AnalysisBudget
+
     return AnalysisBudget(wall_s=args.budget_seconds,
                           max_steps=args.budget_steps,
                           max_rss_mb=args.budget_rss_mb)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    source = _read_source(args.file)
-    try:
-        validate_program(parse_program(source))
-    except SourceError as err:
-        print(err.diagnostic(source), file=sys.stderr)
-        return 2
-    if args.no_disk_cache:
-        cache_dir = None
-    else:
-        from .bench.executor import DEFAULT_CACHE_DIR
+    from .inference import BudgetExhausted, LockInference
+    from .lang import SourceError
 
-        cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
+    loaded = _load_program(args.file)
+    if loaded is None:
+        return 2
+    source, program = loaded
+    cache_dir = (None if args.no_disk_cache
+                 else args.cache_dir or DEFAULT_CACHE_DIR)
     tracer = None
     if args.trace:
         from .obs.trace import configure
@@ -90,7 +113,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         tracer = configure(True)
         tracer.drain()
     try:
-        result = LockInference(source, k=args.k,
+        # the disk cache keys the front half on the text; without it the
+        # validated AST goes in and nothing is lexed or parsed twice
+        result = LockInference(source if cache_dir else program, k=args.k,
                                use_effects=not args.no_effects,
                                cache_dir=cache_dir,
                                budget=_budget_from_args(args),
@@ -140,10 +165,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    source = _read_source(args.file)
+    from .inference import LockInference, transform_with_inference
+    from .lang import SourceError, print_lowered_program
+
+    loaded = _load_program(args.file)
+    if loaded is None:
+        return 2
+    source, program = loaded
     try:
-        validate_program(parse_program(source))
-        result = LockInference(source, k=args.k).run()
+        result = LockInference(program, k=args.k).run()
     except SourceError as err:
         print(err.diagnostic(source), file=sys.stderr)
         return 2
@@ -178,6 +208,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .bench import ALL_BENCHMARKS, run_benchmark
+
     spec = ALL_BENCHMARKS.get(args.bench)
     if spec is None:
         print(f"unknown benchmark {args.bench!r}; see list-benchmarks",
@@ -209,6 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _parse_bench_list(tokens: Optional[str], grid: str):
     """Expand ``--benches`` into (name, setting) pairs. Each comma token is
     ``name`` (all of the benchmark's settings) or ``name:setting``."""
+    from .bench import ALL_BENCHMARKS
     from .bench.reporting import FIGURE8_BENCHES
 
     if not tokens:
@@ -345,12 +378,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import AnalysisServer
 
-    if args.no_disk_cache:
-        cache_dir = None
-    else:
-        from .bench.executor import DEFAULT_CACHE_DIR
-
-        cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
+    cache_dir = (None if args.no_disk_cache
+                 else args.cache_dir or DEFAULT_CACHE_DIR)
     server = AnalysisServer(
         socket_path=args.socket,
         host=args.host,
@@ -396,6 +425,8 @@ def cmd_client(args: argparse.Namespace) -> int:
         try:
             if args.action == "analyze":
                 source = _read_source(args.file)
+                if source is None:
+                    return 2
                 response = client.analyze(
                     source, k=args.k, use_effects=not args.no_effects,
                     deadline_s=args.deadline,
@@ -433,6 +464,9 @@ def cmd_client(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_figure7(args: argparse.Namespace) -> int:
+    from .bench import ALL_BENCHMARKS
+    from .bench.reporting import figure7, figure7_counts
+
     sources = {name: spec.source for name, spec in ALL_BENCHMARKS.items()}
     print(figure7(figure7_counts(sources)))
     return 0
@@ -562,6 +596,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    from .bench import ALL_BENCHMARKS
+
     for name, spec in sorted(ALL_BENCHMARKS.items()):
         settings = ", ".join(s or "-" for s in spec.settings)
         print(f"{name:14s} settings: {settings}")

@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..cfg import CFG, build_cfgs, build_schedule
+from ..cfg import CFG, build_cfgs
 from ..lang import ast, ir, lower_program, parse_program
 from ..locks.effects import RO, RW
 from ..locks.paperlock import Lock, global_lock
@@ -31,13 +31,10 @@ from ..obs import trace
 from ..obs.events import envelope
 from ..pointer.steensgaard import PointsTo
 from ..sim.deadline import DeadlineExceeded
-from . import diskcache
 from .budget import AnalysisBudget, BudgetExhausted, CheckpointPolicy
 from .engine import SectionLocks
 from .kernel import Engine
 from .libspec import SpecLibrary
-from .reference import ReferenceEngine
-from .schedule import precompute_summaries
 from .solver import STAT_NAMES, SummarySolver
 
 
@@ -225,9 +222,11 @@ class SharedAnalysis:
         cache_dir: Optional[str] = None,
     ):
         self.front_from_disk = False
-        text = source if isinstance(source, str) else None
+        text = source if isinstance(source, str) and cache_dir else None
+        if text is not None:
+            from . import diskcache
         with trace.timed("analysis.front", "inference") as front_span:
-            if text is not None and cache_dir:
+            if text is not None:
                 cached = diskcache.load_front(cache_dir, text)
                 if cached is not None:
                     self.program, self.cfgs, self.pointsto = cached
@@ -247,7 +246,7 @@ class SharedAnalysis:
         with trace.timed("analysis.pointer", "inference") as pointer_span:
             self.pointsto: PointsTo = PointsTo(self.program).analyze()
         self.pointer_time = pointer_span.duration
-        if text is not None and cache_dir:
+        if text is not None:
             # memoize the pointer fingerprint onto the instance first so
             # the pickled front carries it — warm runs then skip the walk
             diskcache.pointer_fingerprint(self.pointsto)
@@ -354,8 +353,12 @@ class LockInference:
         self.on_checkpoint = on_checkpoint
         # False selects the reference engine, the oracle of the equivalence
         # suites; an oracle must compute its answers, so it gets no cache
-        self._engine_cls = Engine if enable_caches else ReferenceEngine
-        self.cache_dir = cache_dir if self._engine_cls is Engine else None
+        self._engine_cls = Engine
+        if not enable_caches:
+            from .reference import ReferenceEngine
+
+            self._engine_cls = ReferenceEngine
+        self.cache_dir = cache_dir if enable_caches else None
         self._front_time = 0.0
         if isinstance(program, SharedAnalysis):
             self.shared: Optional[SharedAnalysis] = program
@@ -420,6 +423,9 @@ class LockInference:
         schedule = None
         disk = None
         if self.cache_dir:
+            from ..cfg.callgraph import build_schedule
+            from . import diskcache
+
             with trace.timed("analysis.schedule", "inference") as sched_span:
                 schedule = build_schedule(self.program)
             profile.schedule_time = sched_span.duration
@@ -451,6 +457,8 @@ class LockInference:
                 if checkpoint is not None:
                     # checkpointing rides on the bottom-up schedule: level
                     # boundaries are exactly where every summary is final
+                    from .schedule import precompute_summaries
+
                     report = precompute_summaries(engine, schedule,
                                                   checkpoint=checkpoint)
                     profile.sccs_run = report.sccs_run

@@ -1,91 +1,17 @@
 """Lock formalism: effects, lock terms, concrete semantics, abstract schemes."""
 
-from .concrete import (
-    ALL,
-    Denotation,
-    GLOBAL_LOCK,
-    conflict,
-    coarser,
-    denotation_leq,
-    is_fine_grain,
-)
-from .effects import RO, RW, eff_join, eff_leq, eff_meet
-from .paperlock import (
-    Lock,
-    coarse_lock,
-    fine_lock,
-    global_lock,
-    lock_join,
-    lock_leq,
-    lock_lt,
-    reduce_locks,
-)
-from .scheme import (
-    AbstractLockScheme,
-    EffectScheme,
-    FieldScheme,
-    KLimitScheme,
-    PointsToScheme,
-    ProductScheme,
-)
-from .typescheme import TypeScheme
-from .terms import (
-    IBin,
-    IConst,
-    IndexExpr,
-    IUnknown,
-    IVar,
-    Term,
-    TIndex,
-    TPlus,
-    TStar,
-    TVar,
-    term_for_access_path,
-    term_free_vars,
-    term_has_unknown,
-    term_size,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RO",
-    "RW",
-    "eff_join",
-    "eff_leq",
-    "eff_meet",
-    "Term",
-    "TVar",
-    "TStar",
-    "TPlus",
-    "TIndex",
-    "IndexExpr",
-    "IVar",
-    "IConst",
-    "IBin",
-    "IUnknown",
-    "term_size",
-    "term_free_vars",
-    "term_has_unknown",
-    "term_for_access_path",
-    "Denotation",
-    "ALL",
-    "GLOBAL_LOCK",
-    "conflict",
-    "coarser",
-    "denotation_leq",
-    "is_fine_grain",
-    "Lock",
-    "global_lock",
-    "coarse_lock",
-    "fine_lock",
-    "lock_leq",
-    "lock_lt",
-    "lock_join",
-    "reduce_locks",
-    "AbstractLockScheme",
-    "EffectScheme",
-    "FieldScheme",
-    "KLimitScheme",
-    "PointsToScheme",
-    "ProductScheme",
-    "TypeScheme",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "effects": ("RO", "RW", "eff_join", "eff_leq", "eff_meet"),
+    "terms": ("Term", "TVar", "TStar", "TPlus", "TIndex", "IndexExpr", "IVar",
+              "IConst", "IBin", "IUnknown", "term_size", "term_free_vars",
+              "term_has_unknown", "term_for_access_path"),
+    "concrete": ("Denotation", "ALL", "GLOBAL_LOCK", "conflict", "coarser",
+                 "denotation_leq", "is_fine_grain"),
+    "paperlock": ("Lock", "global_lock", "coarse_lock", "fine_lock",
+                  "lock_leq", "lock_lt", "lock_join", "reduce_locks"),
+    "scheme": ("AbstractLockScheme", "EffectScheme", "FieldScheme",
+               "KLimitScheme", "PointsToScheme", "ProductScheme"),
+    "typescheme": ("TypeScheme",),
+})

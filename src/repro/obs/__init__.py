@@ -17,18 +17,14 @@ Three pieces, all stdlib-only:
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and usage.
 """
 
-from .events import (EVENT_KINDS, SCHEMA_VERSION, EventWriter, SchemaError,
-                     envelope, validate_event)
-from .export import load_events, summarize, to_chrome
-from .metrics import (DEFAULT_BUCKETS, Counter, CounterBundle, Gauge,
-                      Histogram, InvariantError, MetricsRegistry)
-from .trace import Tracer, configure, get_tracer, instant, span, timed
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_KINDS", "SCHEMA_VERSION", "EventWriter", "SchemaError",
-    "envelope", "validate_event",
-    "load_events", "summarize", "to_chrome",
-    "DEFAULT_BUCKETS", "Counter", "CounterBundle", "Gauge", "Histogram",
-    "InvariantError", "MetricsRegistry",
-    "Tracer", "configure", "get_tracer", "instant", "span", "timed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "events": ("EVENT_KINDS", "SCHEMA_VERSION", "EventWriter", "SchemaError",
+               "envelope", "validate_event"),
+    "export": ("load_events", "summarize", "to_chrome"),
+    "metrics": ("DEFAULT_BUCKETS", "Counter", "CounterBundle", "Gauge",
+                "Histogram", "InvariantError", "MetricsRegistry"),
+    "trace": ("Tracer", "configure", "get_tracer", "instant", "span",
+              "timed"),
+})

@@ -1,17 +1,10 @@
 """Pointer analyses: Steensgaard unification (paper §4.3) and helpers."""
 
-from .aliasing import AliasOracle
-from .andersen import Andersen, AndersenOracle
-from .steensgaard import ECR, IDX_FIELD, AllocSite, PointsTo
-from .unionfind import UnionFind
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PointsTo",
-    "ECR",
-    "AllocSite",
-    "IDX_FIELD",
-    "AliasOracle",
-    "Andersen",
-    "AndersenOracle",
-    "UnionFind",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "steensgaard": ("PointsTo", "ECR", "AllocSite", "IDX_FIELD"),
+    "aliasing": ("AliasOracle",),
+    "andersen": ("Andersen", "AndersenOracle"),
+    "unionfind": ("UnionFind",),
+})

@@ -15,40 +15,11 @@ scripted policies drive the schedule-exploration subsystem
 (``repro.explore``).
 """
 
-from .policy import (
-    PCTPolicy,
-    POLICY_NAMES,
-    RandomPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    ScriptedPolicy,
-    make_policy,
-)
-from .scheduler import (
-    DeadlockError,
-    LivelockError,
-    Scheduler,
-    SimStats,
-    SimThread,
-    WORK,
-    TRY,
-    run_threads,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "SimThread",
-    "SimStats",
-    "DeadlockError",
-    "LivelockError",
-    "WORK",
-    "TRY",
-    "run_threads",
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "RandomPolicy",
-    "PCTPolicy",
-    "ScriptedPolicy",
-    "make_policy",
-    "POLICY_NAMES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
+    "scheduler": ("Scheduler", "SimThread", "SimStats", "DeadlockError",
+                  "LivelockError", "WORK", "TRY", "run_threads"),
+    "policy": ("SchedulingPolicy", "RoundRobinPolicy", "RandomPolicy",
+               "PCTPolicy", "ScriptedPolicy", "make_policy", "POLICY_NAMES"),
+})

@@ -46,6 +46,25 @@ def test_transform(move_file, capsys):
     assert "acquireAll" in out and "releaseAll" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["transform"], ["analyze", "--no-disk-cache"]])
+def test_source_is_lexed_once(move_file, capsys, monkeypatch, command):
+    """The CLI validates the program it parsed and hands *that* to the
+    engine; only the disk cache needs the text again (as its key)."""
+    from repro.lang import parser
+
+    calls = []
+
+    def counting_tokenize(source):
+        calls.append(source)
+        return tokenize(source)
+
+    tokenize = parser.tokenize
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    assert main([command[0], move_file, *command[1:]]) == 0
+    assert calls == [MOVE]
+
+
 def test_run_benchmark(capsys):
     code = main([
         "run", "hashtable-2", "--config", "coarse",

@@ -128,6 +128,27 @@ def test_cli_analyze_malformed_input_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _unreadable_sources(tmp_path):
+    garbage = tmp_path / "utf16.mc"
+    garbage.write_bytes(b"\xff\xfevoid main() { }")
+    return {"missing": str(tmp_path / "nonexistent.mc"),
+            "directory": str(tmp_path), "undecodable": str(garbage)}
+
+
+@pytest.mark.parametrize("command", ["analyze", "transform"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_cli_unreadable_source_is_one_line_and_exit_2(tmp_path, capsys,
+                                                      command, kind):
+    from repro.cli import main
+
+    path = _unreadable_sources(tmp_path)[kind]
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[read]: cannot read {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_mutations_are_deterministic_per_seed():
     import random
     base = "void main() { int x = 1; }"

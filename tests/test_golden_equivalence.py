@@ -31,16 +31,10 @@ KS = (0, 1, 3, 9)
 
 _SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 # Import ``repro.inference.reference`` in a fresh interpreter and list the
-# ``repro.inference`` modules that came with it.  The two package
-# ``__init__``s are replaced by bare path-only packages: they export both
-# engines, so running them would load the kernel whatever the reference
-# module itself imports.
+# ``repro.inference`` modules that came with it.
 _IMPORT_PROBE = """
-import os, sys, types
-for name in ("repro", "repro.inference"):
-    package = types.ModuleType(name)
-    package.__path__ = [os.path.join(sys.argv[1], *name.split("."))]
-    sys.modules[name] = package
+import sys
+sys.path.insert(0, sys.argv[1])
 import repro.inference.reference
 print(*sorted(m for m in sys.modules if m.startswith("repro.inference.")))
 """

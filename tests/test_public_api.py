@@ -1,7 +1,15 @@
 """Public API surface tests: everything advertised in README importable and
 wired together."""
 
+import importlib
+
+import pytest
+
 import repro
+
+# every package whose ``__init__`` is a ``lazy_exports`` table
+LAZY_PACKAGES = ("repro", "repro.bench", "repro.cfg", "repro.inference",
+                 "repro.locks", "repro.obs", "repro.pointer", "repro.sim")
 
 
 def test_version():
@@ -11,6 +19,30 @@ def test_version():
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), name
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_exports_resolve_list_and_cache(package):
+    module = importlib.import_module(package)
+    assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
+    assert set(dir(module)) >= set(module.__all__)
+    for name in module.__all__:
+        assert getattr(module, name) is getattr(module, name), name
+        assert name in vars(module), f"{package}.{name} was not cached"
+    star = {}
+    exec(f"from {package} import *", star)
+    assert set(star) >= set(module.__all__)
+    with pytest.raises(AttributeError, match=package.replace(".", r"\.")):
+        module.no_such_name
+
+
+def test_documented_import_spellings():
+    from repro import infer_locks
+    from repro.inference import Engine, analysis, diskcache
+
+    assert infer_locks is analysis.infer_locks
+    assert Engine.__module__ == "repro.inference.kernel"
+    assert diskcache.__name__ == "repro.inference.diskcache"
 
 
 def test_readme_quickstart_snippet():

@@ -334,6 +334,18 @@ def test_shutdown_drains_and_event_stream_validates(tmp_path):
                                                "inline"}
 
 
+def test_cli_client_unreadable_source_is_exit_2_not_a_traceback(
+        server, tmp_path, capsys):
+    from repro.cli import main
+
+    missing = str(tmp_path / "nonexistent.mc")
+    code = main(["client", "analyze", missing,
+                 "--socket", server.socket_path])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error[read]: cannot read {missing}: ")
+
+
 def test_sigterm_drains_subprocess(tmp_path):
     """A real ``repro serve`` process exits 0 on SIGTERM, removing the
     socket and closing the stream with ``serve-stop``."""
