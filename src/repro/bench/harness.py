@@ -66,14 +66,20 @@ class RunResult:
 
 
 class _InferenceCache:
+    # keyed by the text itself: equal hashes of distinct sources are told
+    # apart by the dict's equality check
     def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, int], InferenceResult] = {}
+        self._cache: Dict[Tuple[str, int], InferenceResult] = {}
 
     def get(self, source: str, k: int) -> InferenceResult:
-        key = (hash(source), k)
+        key = (source, k)
         if key not in self._cache:
-            self._cache[key] = LockInference(shared_analysis(source), k=k).run()
+            self.put(source, k, LockInference(shared_analysis(source),
+                                              k=k).run())
         return self._cache[key]
+
+    def put(self, source: str, k: int, result: InferenceResult) -> None:
+        self._cache[(source, k)] = result
 
 
 _CACHE = _InferenceCache()
@@ -94,7 +100,7 @@ def seed_inference_cache(source: str, k: int,
     analysis server and seeds them here *before* the worker pool forks,
     so every forked worker inherits the warm entries and no cell pays
     for the analysis locally."""
-    _CACHE._cache[(hash(source), k)] = result
+    _CACHE.put(source, k, result)
 
 
 def run_seq(world: World, func: str, args: Sequence[int] = ()) -> object:

@@ -77,8 +77,9 @@ from ..obs import trace
 from ..obs.metrics import MetricsRegistry
 
 # bump when the on-disk layout or the meaning of cached values changes
+# (front 2: AST/IR nodes became slotted classes pickled positionally)
 CACHE_SCHEMA = 1
-_FRONT_SCHEMA = 1
+_FRONT_SCHEMA = 2
 
 # advisory-lock acquisition budget for the summary-table merge; on timeout
 # the store is skipped (counted, never fatal — the summaries recompute)

@@ -17,12 +17,51 @@ extended conservatively (see DESIGN.md section 5) with:
 The surface AST is produced by :mod:`repro.lang.parser` and consumed by
 :mod:`repro.lang.lower`, which rewrites it into the simple statement forms
 used by the transfer functions of the paper's Figure 4.
+
+Node classes (here and in :mod:`repro.lang.ir`) follow one convention:
+every concrete class lists its fields in ``__slots__``, in constructor
+order, and sets them in a hand-written ``__init__`` — one plain attribute
+store per field.  :class:`Node` derives ``repr`` and positional pickling
+from ``__slots__``; :class:`ValueNode` adds field-wise ``==``/``hash`` for
+the immutable nodes that are compared or used as keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+
+class Node:
+    """Base of every AST and IR node."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        # positional: a pickle holds the class once and one tuple of field
+        # values per node, and loading calls the constructor
+        return self.__class__, tuple([getattr(self, name)
+                                      for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class ValueNode(Node):
+    """A node that is equal to, and hashes like, any node of its class
+    with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self.__slots__]))
 
 
 # ---------------------------------------------------------------------------
@@ -30,28 +69,33 @@ from typing import Dict, List, Optional, Tuple
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Type:
+class Type(ValueNode):
     """Base class for mini-C types."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class IntType(Type):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
 class VoidType(Type):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "void"
 
 
-@dataclass(frozen=True)
 class PtrType(Type):
     """Pointer to a struct (by name), to ``int``, or to another pointer."""
 
-    target: str  # struct name, "int", or a pointer spelled "T*"
+    __slots__ = ("target",)
+
+    def __init__(self, target: str) -> None:
+        self.target = target  # struct name, "int", or a pointer spelled "T*"
 
     def __str__(self) -> str:
         return f"{self.target}*"
@@ -70,122 +114,146 @@ def ptr(target: str) -> PtrType:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Node):
     """Base class for surface expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Null(Expr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "null"
 
 
-@dataclass(frozen=True)
 class New(Expr):
     """``new T`` — allocate a record with one cell per field of struct T.
 
     ``new int`` allocates a single-cell object (its base cell holds the int).
     """
 
-    type_name: str
+    __slots__ = ("type_name",)
+
+    def __init__(self, type_name: str) -> None:
+        self.type_name = type_name
 
     def __str__(self) -> str:
         return f"new {self.type_name}"
 
 
-@dataclass(frozen=True)
 class NewArray(Expr):
     """``new T[n]`` — allocate an object with integer-offset cells 0..n-1."""
 
-    type_name: str
-    size: "Expr"
+    __slots__ = ("type_name", "size")
+
+    def __init__(self, type_name: str, size: Expr) -> None:
+        self.type_name = type_name
+        self.size = size
 
     def __str__(self) -> str:
         return f"new {self.type_name}[{self.size}]"
 
 
-@dataclass(frozen=True)
 class Deref(Expr):
     """``*e`` — read the cell addressed by e (or, as an lvalue, that cell)."""
 
-    ptr: Expr
+    __slots__ = ("ptr",)
+
+    def __init__(self, ptr: Expr) -> None:
+        self.ptr = ptr
 
     def __str__(self) -> str:
         return f"*{self.ptr}"
 
 
-@dataclass(frozen=True)
 class AddrOf(Expr):
     """``&lv`` — the address of an lvalue."""
 
-    lvalue: Expr
+    __slots__ = ("lvalue",)
+
+    def __init__(self, lvalue: Expr) -> None:
+        self.lvalue = lvalue
 
     def __str__(self) -> str:
         return f"&{self.lvalue}"
 
 
-@dataclass(frozen=True)
 class FieldAccess(Expr):
     """``e->f`` — reads ``*(e + f)``; as an lvalue it is the cell ``e + f``."""
 
-    ptr: Expr
-    fieldname: str
+    __slots__ = ("ptr", "fieldname")
+
+    def __init__(self, ptr: Expr, fieldname: str) -> None:
+        self.ptr = ptr
+        self.fieldname = fieldname
 
     def __str__(self) -> str:
         return f"{self.ptr}->{self.fieldname}"
 
 
-@dataclass(frozen=True)
 class IndexAccess(Expr):
     """``e[i]`` — reads ``*(e +[i])``; as an lvalue it is the cell ``e +[i]``."""
 
-    base: Expr
-    index: Expr
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Expr, index: Expr) -> None:
+        self.base = base
+        self.index = index
 
     def __str__(self) -> str:
         return f"{self.base}[{self.index}]"
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # "-" | "!"
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr) -> None:
+        self.op = op  # "-" | "!"
+        self.operand = operand
 
     def __str__(self) -> str:
         return f"{self.op}{self.operand}"
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str  # + - * / % == != < <= > >= && ||
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op = op  # + - * / % == != < <= > >= && ||
+        self.left = left
+        self.right = right
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
 class CallExpr(Expr):
-    func: str
-    args: Tuple[Expr, ...]
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: Tuple[Expr, ...]) -> None:
+        self.func = func
+        self.args = args
 
     def __str__(self) -> str:
         return f"{self.func}({', '.join(str(a) for a in self.args)})"
@@ -196,66 +264,87 @@ class CallExpr(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Stmt:
+class Stmt(Node):
     """Base class for surface statements."""
 
+    __slots__ = ()
 
-@dataclass
+
 class VarDecl(Stmt):
-    type: Type
-    name: str
-    init: Optional[Expr] = None
+    __slots__ = ("type", "name", "init")
+
+    def __init__(self, type: Type, name: str,
+                 init: Optional[Expr] = None) -> None:
+        self.type = type
+        self.name = name
+        self.init = init
 
 
-@dataclass
 class Assign(Stmt):
     """``lv = e`` where lv is Var, Deref, FieldAccess, or IndexAccess."""
 
-    target: Expr
-    value: Expr
+    __slots__ = ("target", "value")
+
+    def __init__(self, target: Expr, value: Expr) -> None:
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class ExprStmt(Stmt):
     """A call evaluated for its effects: ``f(a, b);``."""
 
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr) -> None:
+        self.expr = expr
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    then: "Block"
-    orelse: Optional["Block"] = None
+    __slots__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Expr, then: "Block",
+                 orelse: Optional["Block"] = None) -> None:
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr
-    body: "Block"
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: Expr, body: "Block") -> None:
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class Block(Stmt):
-    stmts: List[Stmt] = field(default_factory=list)
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: Optional[List[Stmt]] = None) -> None:
+        self.stmts = [] if stmts is None else stmts
 
 
-@dataclass
 class Atomic(Stmt):
-    body: Block
+    __slots__ = ("body",)
+
+    def __init__(self, body: Block) -> None:
+        self.body = body
 
 
-@dataclass
 class Return(Stmt):
-    value: Optional[Expr] = None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[Expr] = None) -> None:
+        self.value = value
 
 
-@dataclass
 class Nop(Stmt):
     """``nop(n);`` — n ticks of simulated work (the paper's nop padding)."""
 
-    cost: int = 1
+    __slots__ = ("cost",)
+
+    def __init__(self, cost: int = 1) -> None:
+        self.cost = cost
 
 
 # ---------------------------------------------------------------------------
@@ -263,45 +352,58 @@ class Nop(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StructDecl:
-    name: str
-    fields: List[Tuple[Type, str]]
+class StructDecl(Node):
+    __slots__ = ("name", "fields")
+
+    def __init__(self, name: str, fields: List[Tuple[Type, str]]) -> None:
+        self.name = name
+        self.fields = fields
 
     @property
     def field_names(self) -> List[str]:
         return [name for _, name in self.fields]
 
 
-@dataclass
-class GlobalDecl:
-    type: Type
-    name: str
+class GlobalDecl(Node):
+    __slots__ = ("type", "name")
+
+    def __init__(self, type: Type, name: str) -> None:
+        self.type = type
+        self.name = name
 
 
-@dataclass
-class Param:
-    type: Type
-    name: str
+class Param(Node):
+    __slots__ = ("type", "name")
+
+    def __init__(self, type: Type, name: str) -> None:
+        self.type = type
+        self.name = name
 
 
-@dataclass
-class FunctionDecl:
-    ret_type: Type
-    name: str
-    params: List[Param]
-    body: Block
+class FunctionDecl(Node):
+    __slots__ = ("ret_type", "name", "params", "body")
+
+    def __init__(self, ret_type: Type, name: str, params: List[Param],
+                 body: Block) -> None:
+        self.ret_type = ret_type
+        self.name = name
+        self.params = params
+        self.body = body
 
     @property
     def param_names(self) -> List[str]:
         return [p.name for p in self.params]
 
 
-@dataclass
-class Program:
-    structs: Dict[str, StructDecl] = field(default_factory=dict)
-    globals: Dict[str, GlobalDecl] = field(default_factory=dict)
-    functions: Dict[str, FunctionDecl] = field(default_factory=dict)
+class Program(Node):
+    __slots__ = ("structs", "globals", "functions")
+
+    def __init__(self, structs: Optional[Dict[str, StructDecl]] = None,
+                 globals: Optional[Dict[str, GlobalDecl]] = None,
+                 functions: Optional[Dict[str, FunctionDecl]] = None) -> None:
+        self.structs = {} if structs is None else structs
+        self.globals = {} if globals is None else globals
+        self.functions = {} if functions is None else functions
 
     def struct(self, name: str) -> StructDecl:
         return self.structs[name]

@@ -13,7 +13,13 @@ Grammar (roughly)::
     lvalue    := unary  (restricted to Var / Deref / FieldAccess / IndexAccess)
 
 Expressions use standard C precedence:
-``||  &&  ==/!=  </<=/>/>=  +/-  *,/,%  unary(* & ! -)  postfix(-> [])``.
+``||  &&  ==/!=  </<=/>/>=  +/-  *,/,%  unary(* & ! -)  postfix(-> [])``;
+every binary operator is left-associative.
+
+The parser reads the lexer's ``kinds``/``texts`` columns by position.  An
+operator or keyword is recognised by its text alone: no identifier,
+integer or eof token can spell one, so ``check(t)`` is one list index and
+one compare.
 """
 
 from __future__ import annotations
@@ -35,73 +41,84 @@ class ParseError(SourceError):
         self.token = token
 
 
+_LVALUES = (ast.Var, ast.Deref, ast.FieldAccess, ast.IndexAccess)
+
+# binding strength of each binary operator; any other text binds at 0
+_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
+
 class Parser:
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
+        self.kinds = self.tokens.kinds
+        self.texts = self.tokens.texts
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
+    # ``pos`` never passes the trailing eof token: the parser only steps
+    # over a token it has already matched, and eof matches nothing.
 
-    def peek(self, offset: int = 0) -> Token:
-        # ``pos`` can never pass the trailing eof token (advance stops
-        # there), so only explicit lookahead needs the end clamp
-        if offset:
-            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        """The current token, with its position (for diagnostics)."""
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def check(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind in ("op", "kw")
+        return self.texts[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        if tok.text == text and tok.kind in ("op", "kw"):
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.check(text):
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
             raise ParseError(f"expected {text!r}", self.peek())
-        return self.advance()
+        self.pos += 1
 
     def expect_ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise ParseError("expected identifier", tok)
-        return self.advance().text
+        pos = self.pos
+        if self.kinds[pos] != "ident":
+            raise ParseError("expected identifier", self.peek())
+        self.pos = pos + 1
+        return self.texts[pos]
 
     # -- types --------------------------------------------------------------
 
     def looks_like_type(self) -> bool:
-        tok = self.peek()
-        if tok.text in ("int", "void"):
+        pos = self.pos
+        text = self.texts[pos]
+        if text == "int" or text == "void":
             return True
         # "name *" or "name* name" style declarations: IDENT followed by '*'
-        return tok.kind == "ident" and self.peek(1).text == "*"
+        return self.kinds[pos] == "ident" and self.texts[pos + 1] == "*"
 
     def parse_type(self) -> ast.Type:
-        tok = self.peek()
-        if tok.text == "void":
-            self.advance()
+        pos = self.pos
+        text = self.texts[pos]
+        if text == "void":
+            self.pos = pos + 1
             return ast.VOID
-        if tok.text == "int":
-            self.advance()
+        if text == "int":
+            self.pos = pos + 1
             base: ast.Type = ast.INT
             name = "int"
-        elif tok.kind == "ident":
-            name = self.advance().text
+        elif self.kinds[pos] == "ident":
+            self.pos = pos + 1
+            name = text
             base = ast.PtrType(name)  # a bare struct name only appears with *
             if not self.check("*"):
-                raise ParseError("struct values must be pointers (use T*)", self.peek())
+                raise ParseError("struct values must be pointers (use T*)",
+                                 self.peek())
         else:
-            raise ParseError("expected type", tok)
+            raise ParseError("expected type", self.peek())
         # collect pointer stars
         while self.accept("*"):
             base = ast.PtrType(name)
@@ -112,7 +129,8 @@ class Parser:
 
     def parse_program(self) -> ast.Program:
         program = ast.Program()
-        while self.peek().kind != "eof":
+        kinds = self.kinds
+        while kinds[self.pos] != "eof":
             if self.check("struct"):
                 decl = self.parse_struct()
                 program.structs[decl.name] = decl
@@ -148,7 +166,8 @@ class Parser:
                         break
             self.expect(")")
             body = self.parse_block()
-            program.functions[name] = ast.FunctionDecl(decl_type, name, params, body)
+            program.functions[name] = ast.FunctionDecl(decl_type, name,
+                                                       params, body)
         else:
             self.expect(";")
             program.globals[name] = ast.GlobalDecl(decl_type, name)
@@ -158,38 +177,40 @@ class Parser:
     def parse_block(self) -> ast.Block:
         self.expect("{")
         stmts: List[ast.Stmt] = []
-        while not self.check("}"):
+        texts = self.texts
+        while texts[self.pos] != "}":
             stmts.append(self.parse_stmt())
-        self.expect("}")
+        self.pos += 1
         return ast.Block(stmts)
 
     def parse_stmt(self) -> ast.Stmt:
-        if self.check("{"):
+        text = self.texts[self.pos]
+        if text == "{":
             return self.parse_block()
-        if self.check("if"):
+        if text == "if":
             return self.parse_if()
-        if self.check("while"):
-            self.advance()
+        if text == "while":
+            self.pos += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_stmt_as_block()
             return ast.While(cond, body)
-        if self.check("atomic"):
-            self.advance()
+        if text == "atomic":
+            self.pos += 1
             return ast.Atomic(self.parse_block())
-        if self.check("return"):
-            self.advance()
+        if text == "return":
+            self.pos += 1
             value = None if self.check(";") else self.parse_expr()
             self.expect(";")
             return ast.Return(value)
-        if self.check("nop"):
-            self.advance()
+        if text == "nop":
+            self.pos += 1
             self.expect("(")
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError("nop expects an integer literal", tok)
-            cost = int(self.advance().text)
+            if self.kinds[self.pos] != "int":
+                raise ParseError("nop expects an integer literal", self.peek())
+            cost = int(self.texts[self.pos])
+            self.pos += 1
             self.expect(")")
             self.expect(";")
             return ast.Nop(cost)
@@ -206,14 +227,13 @@ class Parser:
         if self.accept("="):
             value = self.parse_expr()
             self.expect(";")
-            if not isinstance(
-                expr, (ast.Var, ast.Deref, ast.FieldAccess, ast.IndexAccess)
-            ):
+            if not isinstance(expr, _LVALUES):
                 raise ParseError("invalid assignment target", self.peek())
             return ast.Assign(expr, value)
         self.expect(";")
         if not isinstance(expr, ast.CallExpr):
-            raise ParseError("expression statement must be a call", self.peek())
+            raise ParseError("expression statement must be a call",
+                             self.peek())
         return ast.ExprStmt(expr)
 
     def parse_stmt_as_block(self) -> ast.Block:
@@ -236,73 +256,46 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.check("||"):
-            self.advance()
-            left = ast.Binary("||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_equality()
-        while self.check("&&"):
-            self.advance()
-            left = ast.Binary("&&", left, self.parse_equality())
-        return left
-
-    def parse_equality(self) -> ast.Expr:
-        left = self.parse_relational()
-        while self.peek().text in ("==", "!="):
-            op = self.advance().text
-            left = ast.Binary(op, left, self.parse_relational())
-        return left
-
-    def parse_relational(self) -> ast.Expr:
-        left = self.parse_additive()
-        while self.peek().text in ("<", "<=", ">", ">="):
-            op = self.advance().text
-            left = ast.Binary(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
-            left = ast.Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
+    def parse_expr(self, min_precedence: int = 1) -> ast.Expr:
+        """Precedence climbing: the operand, then every binary operator
+        binding at least *min_precedence*, each with a right operand of
+        strictly higher binding (left associativity)."""
         left = self.parse_unary()
-        while self.peek().text in ("*", "/", "%"):
-            op = self.advance().text
-            left = ast.Binary(op, left, self.parse_unary())
-        return left
+        texts = self.texts
+        while True:
+            op = texts[self.pos]
+            precedence = _PRECEDENCE.get(op, 0)
+            if precedence < min_precedence:
+                return left
+            self.pos += 1
+            left = ast.Binary(op, left, self.parse_expr(precedence + 1))
 
     def parse_unary(self) -> ast.Expr:
-        if self.accept("*"):
+        """A prefix operator applied to a unary expression, or a primary
+        followed by its postfix ``->f`` / ``[i]`` chain."""
+        texts = self.texts
+        text = texts[self.pos]
+        if text == "*":
+            self.pos += 1
             return ast.Deref(self.parse_unary())
-        if self.accept("&"):
+        if text == "&":
+            self.pos += 1
             operand = self.parse_unary()
-            if not isinstance(
-                operand, (ast.Var, ast.Deref, ast.FieldAccess, ast.IndexAccess)
-            ):
-                raise ParseError("cannot take the address of this expression", self.peek())
+            if not isinstance(operand, _LVALUES):
+                raise ParseError("cannot take the address of this expression",
+                                 self.peek())
             return ast.AddrOf(operand)
-        if self.accept("!"):
-            return ast.Unary("!", self.parse_unary())
-        if self.accept("-"):
-            return ast.Unary("-", self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> ast.Expr:
+        if text == "!" or text == "-":
+            self.pos += 1
+            return ast.Unary(text, self.parse_unary())
         expr = self.parse_primary()
         while True:
-            if self.accept("->"):
+            text = texts[self.pos]
+            if text == "->":
+                self.pos += 1
                 expr = ast.FieldAccess(expr, self.expect_ident())
-            elif self.accept("["):
+            elif text == "[":
+                self.pos += 1
                 index = self.parse_expr()
                 self.expect("]")
                 expr = ast.IndexAccess(expr, index)
@@ -310,13 +303,31 @@ class Parser:
                 return expr
 
     def parse_primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return ast.IntLit(int(tok.text))
-        if self.accept("null"):
+        pos = self.pos
+        kind = self.kinds[pos]
+        text = self.texts[pos]
+        if kind == "ident":
+            # an identifier is never the last token: eof follows it
+            if self.texts[pos + 1] != "(":
+                self.pos = pos + 1
+                return ast.Var(text)
+            self.pos = pos + 2
+            args: List[ast.Expr] = []
+            if not self.check(")"):
+                while True:
+                    args.append(self.parse_expr())
+                    if not self.accept(","):
+                        break
+            self.expect(")")
+            return ast.CallExpr(text, tuple(args))
+        if kind == "int":
+            self.pos = pos + 1
+            return ast.IntLit(int(text))
+        if text == "null":
+            self.pos = pos + 1
             return ast.Null()
-        if self.accept("new"):
+        if text == "new":
+            self.pos = pos + 1
             type_name = "int" if self.accept("int") else self.expect_ident()
             while self.accept("*"):
                 type_name += "*"
@@ -325,23 +336,12 @@ class Parser:
                 self.expect("]")
                 return ast.NewArray(type_name, size)
             return ast.New(type_name)
-        if self.accept("("):
+        if text == "(":
+            self.pos = pos + 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        if tok.kind == "ident":
-            name = self.advance().text
-            if self.accept("("):
-                args: List[ast.Expr] = []
-                if not self.check(")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-                return ast.CallExpr(name, tuple(args))
-            return ast.Var(name)
-        raise ParseError("expected expression", tok)
+        raise ParseError("expected expression", self.peek())
 
 
 def parse_program(source: str) -> ast.Program:
@@ -360,6 +360,6 @@ def parse_expr(source: str) -> ast.Expr:
     """Parse a single expression (used by tests and examples)."""
     parser = Parser(source)
     expr = parser.parse_expr()
-    if parser.peek().kind != "eof":
+    if parser.kinds[parser.pos] != "eof":
         raise ParseError("trailing input after expression", parser.peek())
     return expr

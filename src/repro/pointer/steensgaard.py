@@ -18,7 +18,7 @@ pointees and common fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..lang import ast, ir
 
@@ -63,6 +63,10 @@ class PointsTo:
 
     def __init__(self, program: ir.LoweredProgram) -> None:
         self.program = program
+        # each function's own names (locals and params), for var_key
+        self._scopes: Dict[str, FrozenSet[str]] = {
+            name: frozenset(func.locals).union(func.params)
+            for name, func in program.functions.items()}
         self._vars: Dict[VarKey, ECR] = {}
         self._sites: Dict[int, ECR] = {}
         self.sites: Dict[int, AllocSite] = {}
@@ -121,8 +125,8 @@ class PointsTo:
             return (name[len(ast.RET_PREFIX):], name)
         if name.startswith("$"):
             return (func_name, name)
-        func = self.program.functions.get(func_name)
-        if func is not None and (name in func.locals or name in func.params):
+        scope = self._scopes.get(func_name)
+        if scope is not None and name in scope:
             return (func_name, name)
         if name in self.program.globals:
             return ("", name)

@@ -327,30 +327,31 @@ class Scheduler:
                 # before anyone advances: a woken thread whose next event
                 # is a TRY that fails this same tick re-enters the FIFO at
                 # the back, once. `blocked` keeps this tick's full list
-                # for the deadlock report and the occupancy sample
+                # for the occupancy sample
                 self._compact()
             # 2. advance the policy's pick of the runnable threads
             runnable = [t for t in live if t.state == "runnable"]
             if not runnable:
-                if blocked:
-                    if self.watchdog is not None:
-                        # emergency scan: the watchdog may abort a victim,
-                        # whose wait predicate then reports success (the
-                        # abort flag) and unblocks it into its retry loop;
-                        # rare, so every predicate is re-run, gated or not
-                        self.watchdog(self)
-                        for thread in blocked:
-                            if thread.state == "blocked":
-                                self._retry(thread)
-                        if any(t.state == "runnable" for t in live):
-                            self._compact()
-                            self._stall = 0
-                            continue
-                    raise DeadlockError(
-                        "all threads blocked: "
-                        + ", ".join(repr(t) for t in blocked)
-                    )
-                return stats
+                if not self._live:
+                    # the wake pass ran the last threads to completion
+                    return stats
+                # every live thread is in the (compacted) blocked FIFO
+                if self.watchdog is not None:
+                    # emergency scan: the watchdog may abort a victim,
+                    # whose wait predicate then reports success (the
+                    # abort flag) and unblocks it into its retry loop;
+                    # rare, so every predicate is re-run, gated or not
+                    self.watchdog(self)
+                    for thread in self._blocked:
+                        self._retry(thread)
+                    if any(t.state == "runnable" for t in self._live):
+                        self._compact()
+                        self._stall = 0
+                        continue
+                raise DeadlockError(
+                    "all threads blocked: "
+                    + ", ".join(repr(t) for t in self._blocked)
+                )
             chosen = self.policy.choose(runnable, self.ncores, stats.ticks)
             if not chosen:
                 chosen = runnable[:1]

@@ -3,8 +3,37 @@
 import pytest
 
 from repro.bench import ALL_BENCHMARKS, run_benchmark
-from repro.bench.harness import build_world, run_seq
+from repro.bench.harness import (build_world, inference_for, run_seq,
+                                 seed_inference_cache)
+from repro.inference import LockInference
 from repro.interp import World
+
+
+class _CollidingSource(str):
+    """Source text whose hash equals every other instance's."""
+
+    def __hash__(self) -> int:
+        return 0
+
+
+def _locks_of(source: str, k: int) -> str:
+    return LockInference(str(source), k=k).run().describe()
+
+
+def test_inference_memo_tells_colliding_sources_apart():
+    first = _CollidingSource(ALL_BENCHMARKS["list"].source)
+    second = _CollidingSource(ALL_BENCHMARKS["TH"].source)
+    assert hash(first) == hash(second) and first != second
+    assert inference_for(first, 5).describe() == _locks_of(first, 5)
+    assert inference_for(second, 5).describe() == _locks_of(second, 5)
+
+
+def test_seeded_result_is_keyed_by_text():
+    seeded = _CollidingSource(ALL_BENCHMARKS["hashtable"].source)
+    other = _CollidingSource(ALL_BENCHMARKS["kmeans"].source)
+    seed_inference_cache(seeded, 4, LockInference(str(seeded), k=4).run())
+    assert inference_for(other, 4).describe() == _locks_of(other, 4)
+    assert inference_for(seeded, 4).describe() == _locks_of(seeded, 4)
 
 
 def test_build_world_modes():

@@ -23,9 +23,9 @@ from repro.bench import ALL_BENCHMARKS
 from repro.bench.executor import _cache_path
 from repro.cfg import build_cfgs, build_schedule, call_graph, cone_hashes, tarjan_sccs
 from repro.inference import (Engine, LockInference, ReferenceEngine,
-                             open_cache)
+                             SharedAnalysis, diskcache, open_cache)
 from repro.inference.schedule import precompute_summaries
-from repro.lang import lower_program, parse_program
+from repro.lang import ir, lower_program, parse_program
 from repro.pointer import PointsTo
 
 KS = (0, 1, 9)
@@ -286,3 +286,42 @@ def test_disk_cache_keys_depend_on_configuration(tmp_path):
             engine.analyze_section(func_name, section)
     assert engine.stats["sections_from_disk"] == 0
     assert engine.stats["summaries_from_disk"] == 0
+
+
+# ---------------------------------------------------------------------------
+# front entries across a schema bump
+# ---------------------------------------------------------------------------
+
+
+def test_front_entry_from_an_older_schema_is_a_miss(tmp_path, monkeypatch):
+    root = str(tmp_path)
+    cold = SharedAnalysis(CHAIN)
+    monkeypatch.setattr(diskcache, "_FRONT_SCHEMA",
+                        diskcache._FRONT_SCHEMA - 1)
+    diskcache.store_front(root, CHAIN, cold.program, cold.cfgs,
+                          cold.pointsto)
+    monkeypatch.undo()
+    assert diskcache.load_front(root, CHAIN) is None
+    first = SharedAnalysis(CHAIN, cache_dir=root)
+    assert not first.front_from_disk
+    assert SharedAnalysis(CHAIN, cache_dir=root).front_from_disk
+
+
+def test_front_entry_in_the_old_node_layout_fails_closed(tmp_path,
+                                                         monkeypatch):
+    """Nodes used to pickle as a class reference plus a ``__dict__``; a
+    slotted node cannot take that state, and the load degrades to a miss."""
+
+    class DictNode:
+        def __init__(self, name):
+            self.name = name
+
+    DictNode.__module__, DictNode.__qualname__ = ir.__name__, "VarAtom"
+    monkeypatch.setattr(ir, "VarAtom", DictNode)
+    payload = diskcache._pickle((DictNode("x"), {}, None))
+    monkeypatch.undo()
+    diskcache._atomic_write(diskcache._front_path(str(tmp_path), CHAIN),
+                            payload)
+    corrupt = diskcache.corrupt_entries_seen()
+    assert diskcache.load_front(str(tmp_path), CHAIN) is None
+    assert diskcache.corrupt_entries_seen() == corrupt + 1

@@ -204,6 +204,25 @@ def test_deadlock_detected():
         run_threads([stuck(), stuck()], ncores=2)
 
 
+def test_blocking_try_as_last_event_completes():
+    """A thread whose last event is a TRY finishes inside the wake pass;
+    with nobody left the run ends, it is not a deadlock."""
+    flag = []
+
+    def waiter():
+        yield (TRY, lambda: bool(flag))
+
+    def setter():
+        yield 1
+        flag.append(True)
+
+    stats = run_threads([waiter(), setter()], ncores=2)
+    assert stats.ticks == 1
+    assert stats.work_done == 1
+    assert stats.failed_tries == 1
+    assert stats.per_thread_blocked == {0: 1, 1: 0}
+
+
 def test_livelock_guard():
     def forever():
         while True:

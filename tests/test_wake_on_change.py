@@ -239,6 +239,8 @@ def poll_and_rebuild(generators, ncores, policy, livelock_window, stats):
                 woke = True
         runnable = [t for t in unfinished if t.state == "runnable"]
         if not runnable:
+            # a woken thread may have finished on its fetch
+            blocked = [t for t in blocked if t.state == "blocked"]
             if blocked:
                 raise DeadlockError("all threads blocked: "
                                     + ", ".join(repr(t) for t in blocked))
@@ -376,6 +378,10 @@ def run_raw(programs, ncores, policy_name, seed, reference):
           [("wait", 0), ("take", 0, False)],
           [("tick",), ("set", 0)]],
          3, "round-robin", 0)
+# thread 1's last event is a take that blocks; it is granted and finishes
+# inside the wake pass, leaving nobody: the run ends, not in a deadlock
+@example([[("work", 1, False), ("take", 0, False), ("tick",), ("release", 0)],
+          [("work", 1, False), ("take", 0, False)]], 1, "round-robin", 0)
 # ... and in a livelock: thread 1 spins while thread 0 waits for a flag
 @example([[("wait", 1)], [("work", 3, False)] * 4],
          2, "round-robin", 0)
