@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..defaults import CONFIGS
-from ..inference import SharedAnalysis, shared_analysis
+from ..inference import SharedAnalysis
 from . import workload
 from .programs import micro, stamp
 
@@ -40,6 +40,8 @@ class BenchSpec:
         """The memoized k-independent analysis front half for this program:
         every (k, use_effects) configuration in a sweep reuses one parse,
         lowering, CFG build, and pointer analysis."""
+        from ..inference.memo import shared_analysis
+
         return shared_analysis(self.source)
 
     def schedule(self, setting: Optional[str], threads: int, n_ops: int,

@@ -20,12 +20,12 @@ thread-count) cells, each an independent deterministic simulation.
   JSON line to ``events_path`` and forwarded to an optional ``progress``
   callback, which the CLI renders as live progress.
 
-Workers are long-lived: each process keeps its own memoized inference
-cache (:func:`repro.bench.harness.inference_for` / ``shared_analysis``),
-so all cells of one benchmark source that land on the same worker pay the
-analysis front half once.  ``jobs=1`` runs the same code path inline in
-the calling process and is bitwise-identical in tick counts to the pool
-path (the simulation is deterministic; see ``tests/test_executor.py``).
+Workers are long-lived: each process keeps its own analysis memo
+(:data:`repro.inference.memo.MEMO`), so all cells of one benchmark source
+that land on the same worker pay the analysis front half once.  ``jobs=1``
+runs the same code path inline in the calling process and is
+bitwise-identical in tick counts to the pool path (the simulation is
+deterministic; see ``tests/test_executor.py``).
 """
 
 from __future__ import annotations

@@ -7,32 +7,30 @@ for STM), runs the setup phase sequentially, then simulates the workload
 threads on an ``ncores``-core machine, with the §4.2 protection checker
 enabled throughout lock runs.
 
-Inference results are cached per (source, k), so sweeping configurations and
-thread counts re-analyzes nothing; and all (k, use_effects) configurations
-of one source share a single :class:`~repro.inference.SharedAnalysis`
-(parse + lower + CFGs + pointer analysis), so a sweep pays the k-independent
-front half of the pipeline exactly once.
+Inference results live in the process's analysis memo
+(:data:`repro.inference.memo.MEMO`) per (source, k), so sweeping
+configurations and thread counts re-analyzes nothing; and all k of one
+source share its :class:`~repro.inference.SharedAnalysis` (parse + lower +
+CFGs + pointer analysis), so a sweep pays the k-independent front half of
+the pipeline exactly once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..inference import (
     InferenceResult,
-    LockInference,
-    shared_analysis,
     transform_global,
     transform_with_inference,
 )
-from ..interp import ProtectionError, ThreadExec, World
+from ..inference.memo import MEMO
+from ..interp import ThreadExec, World
 from ..lang import ir
 from ..sim import Scheduler
 from .configs import CONFIG_K, BenchSpec
-
-Op = Tuple[str, Tuple[int, ...]]
 
 
 @dataclass
@@ -65,31 +63,11 @@ class RunResult:
         return cls(**data)
 
 
-class _InferenceCache:
-    # keyed by the text itself: equal hashes of distinct sources are told
-    # apart by the dict's equality check
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[str, int], InferenceResult] = {}
-
-    def get(self, source: str, k: int) -> InferenceResult:
-        key = (source, k)
-        if key not in self._cache:
-            self.put(source, k, LockInference(shared_analysis(source),
-                                              k=k).run())
-        return self._cache[key]
-
-    def put(self, source: str, k: int, result: InferenceResult) -> None:
-        self._cache[(source, k)] = result
-
-
-_CACHE = _InferenceCache()
-
-
 def inference_for(source: str, k: int) -> InferenceResult:
     """Memoized lock inference per (source, k) — shared by the benchmark
     harness and the schedule explorer, so sweeping N schedules re-analyzes
     nothing."""
-    return _CACHE.get(source, k)
+    return MEMO.result(source, k)
 
 
 def seed_inference_cache(source: str, k: int,
@@ -100,7 +78,7 @@ def seed_inference_cache(source: str, k: int,
     analysis server and seeds them here *before* the worker pool forks,
     so every forked worker inherits the warm entries and no cell pays
     for the analysis locally."""
-    _CACHE.put(source, k, result)
+    MEMO.install(source, k, result)
 
 
 def run_seq(world: World, func: str, args: Sequence[int] = ()) -> object:
@@ -135,7 +113,7 @@ def build_world_for_source(
     phase runs sequentially, then the race detector's barrier marks the
     fork point so initialization never reports."""
     k = CONFIG_K.get(config, 9) if k is None else k
-    inference = _CACHE.get(source, k)
+    inference = inference_for(source, k)
     if config == "stm":
         program: ir.LoweredProgram = inference.program
         mode = "stm"
@@ -200,21 +178,3 @@ def run_benchmark(
         lock_acquires=world.lock_manager.stats.acquires,
         checked_accesses=world.checker.checked if world.checker else 0,
     )
-
-
-def run_config_sweep(
-    spec: BenchSpec,
-    configs: Sequence[str],
-    threads: int = 8,
-    setting: Optional[str] = None,
-    n_ops: Optional[int] = None,
-    ncores: int = 8,
-    check: bool = True,
-) -> Dict[str, RunResult]:
-    return {
-        config: run_benchmark(
-            spec, config, threads=threads, setting=setting, n_ops=n_ops,
-            ncores=ncores, check=check,
-        )
-        for config in configs
-    }

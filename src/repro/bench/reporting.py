@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..inference import LockClassCounts, LockInference, SharedAnalysis
+from ..inference import LockClassCounts, LockInference, shared_analysis
 from .configs import ALL_BENCHMARKS, CONFIGS, BenchSpec
 from .executor import (
     CellResult,
@@ -87,13 +87,14 @@ def figure7_counts(
 ) -> Dict[int, LockClassCounts]:
     """Combined lock counts per k across all *sources* (the paper sums over
     every atomic section of every program). The k-independent front half of
-    each program's analysis is shared across the whole k sweep."""
-    shared = {name: SharedAnalysis(source) for name, source in sources.items()}
+    each program's analysis comes from the process's analysis memo, so the
+    whole k sweep shares it."""
     combined: Dict[int, LockClassCounts] = {}
     for k in ks:
         total = LockClassCounts()
-        for analysis in shared.values():
-            total = total + LockInference(analysis, k=k).run().lock_counts()
+        for source in sources.values():
+            total = total + LockInference(shared_analysis(source),
+                                          k=k).run().lock_counts()
         combined[k] = total
     return combined
 

@@ -22,7 +22,6 @@ Commands:
   cells are cached (``--resume`` skips them), failing cells become error
   rows instead of killing the sweep, and the JSONL event stream renders
   as live progress;
-* ``bench-figure7`` — regenerate Figure 7 from the command line;
 * ``serve --socket PATH [--cache-dir D] [--max-inflight N]
   [--queue-depth N] [--deadline S] [--events PATH]`` — run the long-lived
   analysis service: interned programs, pointer results, and the disk
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .defaults import CONFIGS, DEFAULT_CACHE_DIR
 
@@ -94,6 +93,19 @@ def _budget_from_args(args: argparse.Namespace):
     return AnalysisBudget(wall_s=args.budget_seconds,
                           max_steps=args.budget_steps,
                           max_rss_mb=args.budget_rss_mb)
+
+
+def _print_analysis(fields: Dict[str, object]) -> None:
+    """What ``analyze`` prints, from the fields of an ``analyze`` response:
+    ``client analyze`` prints the same lines, so the two stay diffable."""
+    counts = fields["counts"]
+    print(fields["sections"])
+    print(f"\nlocks: {counts['fine_ro']} fine-ro, "
+          f"{counts['fine_rw']} fine-rw, {counts['coarse_ro']} coarse-ro, "
+          f"{counts['coarse_rw']} coarse-rw, {counts['global_locks']} global")
+    print(f"analysis time: {fields['analysis_time']:.3f}s "
+          f"(pointer {fields['pointer_time']:.3f}s, "
+          f"dataflow {fields['dataflow_time']:.3f}s)")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -143,16 +155,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     "metrics", snapshot=dataclasses.asdict(result.profile)))
         print(f"# {len(records)} trace records -> {args.trace}",
               file=sys.stderr)
-    print(result.describe())
-    counts = result.lock_counts()
-    print(
-        f"\nlocks: {counts.fine_ro} fine-ro, {counts.fine_rw} fine-rw, "
-        f"{counts.coarse_ro} coarse-ro, {counts.coarse_rw} coarse-rw, "
-        f"{counts.global_locks} global"
-    )
-    print(f"analysis time: {result.analysis_time:.3f}s "
-          f"(pointer {result.pointer_time:.3f}s, "
-          f"dataflow {result.dataflow_time:.3f}s)")
+    _print_analysis({"sections": result.describe(),
+                     "counts": vars(result.lock_counts()),
+                     "analysis_time": result.analysis_time,
+                     "pointer_time": result.pointer_time,
+                     "dataflow_time": result.dataflow_time})
     if result.degraded_sections:
         reasons = ", ".join(sorted(set(result.degraded_sections.values())))
         print(f"# partial: {len(result.degraded_sections)} section(s) "
@@ -431,20 +438,7 @@ def cmd_client(args: argparse.Namespace) -> int:
                     source, k=args.k, use_effects=not args.no_effects,
                     deadline_s=args.deadline,
                     allow_partial=args.allow_partial)
-                # mirror ``repro analyze`` line for line, so the two paths
-                # are interchangeable (and diffable) for any script
-                print(response["sections"])
-                counts = response["counts"]
-                print(
-                    f"\nlocks: {counts['fine_ro']} fine-ro, "
-                    f"{counts['fine_rw']} fine-rw, "
-                    f"{counts['coarse_ro']} coarse-ro, "
-                    f"{counts['coarse_rw']} coarse-rw, "
-                    f"{counts['global_locks']} global"
-                )
-                print(f"analysis time: {response['analysis_time']:.3f}s "
-                      f"(pointer {response['pointer_time']:.3f}s, "
-                      f"dataflow {response['dataflow_time']:.3f}s)")
+                _print_analysis(response)
                 print(f"# served: {response['served']}", file=sys.stderr)
                 if response.get("partial"):
                     degraded = response.get("degraded_sections", [])
@@ -460,15 +454,6 @@ def cmd_client(args: argparse.Namespace) -> int:
             print(f"server error [{err.code}]: {err.message}",
                   file=sys.stderr)
             return 3
-    return 0
-
-
-def cmd_bench_figure7(args: argparse.Namespace) -> int:
-    from .bench import ALL_BENCHMARKS
-    from .bench.reporting import figure7, figure7_counts
-
-    sources = {name: spec.source for name, spec in ALL_BENCHMARKS.items()}
-    print(figure7(figure7_counts(sources)))
     return 0
 
 
@@ -768,9 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="print the server-side AnalysisProfile as JSON")
     p.set_defaults(func=cmd_client)
-
-    p = sub.add_parser("bench-figure7", help="regenerate Figure 7")
-    p.set_defaults(func=cmd_bench_figure7)
 
     p = sub.add_parser(
         "explore",

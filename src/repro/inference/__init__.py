@@ -4,8 +4,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "analysis": ("LockInference", "infer_locks", "InferenceResult",
-                 "LockClassCounts", "AnalysisProfile", "SharedAnalysis",
-                 "shared_analysis"),
+                 "LockClassCounts", "AnalysisProfile", "SharedAnalysis"),
+    "memo": ("shared_analysis",),
     "budget": ("AnalysisBudget", "BudgetExhausted", "CheckpointPolicy"),
     "kernel": ("Engine",),
     "reference": ("ReferenceEngine",),

@@ -8,9 +8,9 @@ Two performance-oriented entry points sit alongside it:
 
 * :class:`SharedAnalysis` packages the k-independent front half of the
   pipeline (parse, lower, CFGs, pointer analysis) so a (k, use_effects)
-  sweep pays for it once — pass it to :class:`LockInference` (or
-  :func:`shared_analysis`, which memoizes per source) instead of the raw
-  source;
+  sweep pays for it once — pass it to :class:`LockInference` instead of
+  the raw source (:func:`repro.inference.memo.shared_analysis` keeps one
+  per source);
 * every run produces an :class:`AnalysisProfile` (phase timers + engine
   counters + intern-table sizes) on ``InferenceResult.profile``, surfaced
   by the CLI's ``--profile`` flag and the analysis-speed benchmark.
@@ -252,18 +252,6 @@ class SharedAnalysis:
             diskcache.pointer_fingerprint(self.pointsto)
             diskcache.store_front(cache_dir, text, self.program, self.cfgs,
                                   self.pointsto)
-
-
-_SHARED_CACHE: Dict[str, SharedAnalysis] = {}
-
-
-def shared_analysis(source: str) -> SharedAnalysis:
-    """Memoized :class:`SharedAnalysis` per source text (sweep helper)."""
-    cached = _SHARED_CACHE.get(source)
-    if cached is None:
-        cached = SharedAnalysis(source)
-        _SHARED_CACHE[source] = cached
-    return cached
 
 
 @dataclass

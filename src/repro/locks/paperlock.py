@@ -103,12 +103,31 @@ def lock_join(a: Lock, b: Lock) -> Lock:
     return coarse_lock(a.cls, eff)  # same class, different expressions
 
 
+def _place(lock: Lock):
+    """The lock's tree node and the nodes above it: the root is None, a
+    coarse node its class, a fine node ``(term, cls, func)``."""
+    if lock.cls is None:
+        return None, ()
+    if lock.term is None:
+        return lock.cls, (None,)
+    return (lock.term, lock.cls, lock.func), (None, lock.cls)
+
+
 def reduce_locks(locks) -> frozenset:
     """Antichain reduction (the paper's merge): drop any lock strictly
-    covered by another lock in the set; deduplicate."""
+    covered by another lock in the set (``lock_lt``); deduplicate.  A lock
+    is covered iff its node holds a stronger effect or a node above it
+    holds one at least as strong."""
     locks = set(locks)
+    strongest = {}
+    for lock in locks:
+        node = _place(lock)[0]
+        strongest[node] = eff_join(strongest.get(node, RO), lock.eff)
     kept = set()
     for lock in locks:
-        if not any(lock_lt(lock, other) for other in locks):
+        node, above = _place(lock)
+        if strongest[node] == lock.eff and not any(
+                up in strongest and eff_leq(lock.eff, strongest[up])
+                for up in above):
             kept.add(lock)
     return frozenset(kept)

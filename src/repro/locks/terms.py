@@ -293,19 +293,6 @@ def interning_stats() -> Dict[str, int]:
     return {cls.__name__: len(cls._intern) for cls in _INTERNED_CLASSES}
 
 
-def clear_intern_caches() -> None:
-    """Drop all canonical instances (tests / long-lived sweep processes).
-
-    Safe at any quiescent point: terms constructed afterwards are new
-    canonical objects, and previously built terms keep comparing equal to
-    themselves; only cross-generation structural equality would degrade to
-    identity inequality, so never call this mid-analysis.
-    """
-    for cls in _INTERNED_CLASSES:
-        cls._intern.clear()
-    IUnknown._instance = None  # type: ignore[assignment]
-
-
 # -- measures ---------------------------------------------------------------
 
 

@@ -3,11 +3,10 @@
 :class:`AnalysisServer` keeps the expensive halves of the pipeline resident
 across requests:
 
-* interned programs + CFGs + pointer results (:class:`SharedAnalysis`)
-  keyed by source hash — a repeat request skips parse/lower/CFG/pointer;
-* full response payloads memoized by ``(source_hash, k, use_effects)`` —
-  a byte-identical repeat request costs one dict lookup (``served:
-  "memo"``);
+* an :class:`~repro.inference.memo.AnalysisMemo`: the front half per
+  source (a repeat request skips parse/lower/CFG/pointer), and per
+  ``(source_hash, k, use_effects)`` the result with its payload and pickle
+  encoded once — a repeat request costs a lookup (``served: "memo"``);
 * the process's :class:`AnalysisDiskCache` state stays warm, so even a
   flushed server re-serves summaries from disk (``served: "warm"`` when
   the solve ran zero dataflow steps, ``"computed"`` otherwise).
@@ -30,16 +29,15 @@ drain: the listener closes, queued requests finish, then the server emits
 from __future__ import annotations
 
 import base64
-import hashlib
+import dataclasses
 import os
 import queue
 import socket
 import threading
 import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from ..inference import LockInference
-from ..inference.analysis import SharedAnalysis
+from ..inference.memo import AnalysisMemo
 from ..lang import SourceError
 from ..obs import trace
 from ..obs.events import EventWriter, envelope
@@ -52,10 +50,6 @@ DEFAULT_QUEUE_DEPTH = 8
 #: per-request wall-clock budget when neither the server nor the request
 #: pins one; generous — the corpus analyzes in milliseconds
 DEFAULT_DEADLINE_S = 60.0
-
-
-def _source_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 class AnalysisServer:
@@ -85,7 +79,6 @@ class AnalysisServer:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.cache_dir = cache_dir
         self.max_inflight = max(1, max_inflight)
         self.queue_depth = max(1, queue_depth)
         self.deadline_s = deadline_s
@@ -109,13 +102,7 @@ class AnalysisServer:
             EventWriter(events_path) if events_path else None)
         self._events_lock = threading.Lock()
 
-        # warm state, all under one lock (reads and writes are tiny; the
-        # actual solves run outside it behind per-key single-flight locks)
-        self._state_lock = threading.Lock()
-        self._fronts: Dict[str, SharedAnalysis] = {}
-        self._memo: Dict[Tuple[str, int, bool], Dict[str, object]] = {}
-        self._results: Dict[Tuple[str, int, bool], object] = {}
-        self._inflight_keys: Dict[Tuple[str, int, bool], threading.Lock] = {}
+        self._memo = AnalysisMemo(cache_dir)
 
         self._queue: "queue.Queue" = queue.Queue(maxsize=self.queue_depth)
         self._workers = []
@@ -336,9 +323,7 @@ class AnalysisServer:
     # -- inline kinds --------------------------------------------------
 
     def _status_payload(self) -> Dict[str, object]:
-        with self._state_lock:
-            fronts = len(self._fronts)
-            memo = len(self._memo)
+        warm = self._memo.counts()
         return {
             "socket": self.address,
             "pid": os.getpid(),
@@ -346,20 +331,14 @@ class AnalysisServer:
             "queued": self._queue.qsize(),
             "max_inflight": self.max_inflight,
             "queue_depth": self.queue_depth,
-            "warm_fronts": fronts,
-            "warm_results": memo,
+            "warm_fronts": warm["fronts"],
+            "warm_results": warm["results"],
             "draining": self._shutting_down.is_set(),
             "metrics": self.metrics.snapshot(),
         }
 
     def _flush(self) -> Dict[str, object]:
-        with self._state_lock:
-            flushed = {"fronts": len(self._fronts),
-                       "results": len(self._memo)}
-            self._fronts.clear()
-            self._memo.clear()
-            self._results.clear()
-        return {"flushed": flushed}
+        return {"flushed": self._memo.flush()}
 
     # -- analyze -------------------------------------------------------
 
@@ -425,81 +404,39 @@ class AnalysisServer:
             payload = dict(self._analyzer(source, k, use_effects))
             payload.setdefault("served", "computed")
             return payload
-        sha = _source_hash(source)
-        key = (sha, k, use_effects)
-        with self._state_lock:
-            memo = self._memo.get(key)
-            result = self._results.get(key)
-        if memo is None or (want_pickle and result is None):
-            with self._state_lock:
-                flight = self._inflight_keys.get(key)
-                if flight is None:
-                    flight = self._inflight_keys[key] = threading.Lock()
-            # single-flight: concurrent identical requests queue here and
-            # all but the first are answered from the memo the first wrote
-            with flight:
-                with self._state_lock:
-                    memo = self._memo.get(key)
-                    result = self._results.get(key)
-                if memo is None:
-                    payload, result = self._compute(source, sha, key,
-                                                    allow_partial)
-                    if want_pickle:
-                        payload = dict(payload, pickle=self._encode(result))
-                    return payload
-        payload = dict(memo, served="memo")
-        if want_pickle:
-            payload["pickle"] = self._encode(result)
-        return payload
-
-    @staticmethod
-    def _encode(result) -> str:
-        from ..inference.diskcache import _pickle
-
-        return base64.b64encode(_pickle(result)).decode("ascii")
-
-    def _compute(self, source: str, sha: str, key,
-                 allow_partial: bool = False):
-        with self._state_lock:
-            front = self._fronts.get(sha)
-        if front is None:
-            front = SharedAnalysis(source, cache_dir=self.cache_dir)
-            with self._state_lock:
-                self._fronts[sha] = front
-        result = LockInference(front, k=key[1], use_effects=key[2],
-                               cache_dir=self.cache_dir,
-                               allow_partial=allow_partial).run()
-        counts = result.lock_counts()
-        profile = result.profile
-        if result.partial:
+        entry, memoized = self._memo.entry(source, k, use_effects,
+                                           allow_partial)
+        result = entry.result
+        if memoized:
+            served = "memo"
+        elif result.partial:
             served = "partial"
         else:
-            served = ("warm" if profile is not None
-                      and profile.dataflow_steps == 0 else "computed")
-        payload: Dict[str, object] = {
-            "sections": result.describe(),
-            "counts": {
-                "fine_ro": counts.fine_ro,
-                "fine_rw": counts.fine_rw,
-                "coarse_ro": counts.coarse_ro,
-                "coarse_rw": counts.coarse_rw,
-                "global_locks": counts.global_locks,
-            },
-            "analysis_time": result.analysis_time,
-            "pointer_time": result.pointer_time,
-            "dataflow_time": result.dataflow_time,
-            "profile": profile.as_dict() if profile is not None else None,
-            "partial": result.partial,
-            "degraded_sections": sorted(result.degraded_sections),
-            "served": served,
-        }
-        with self._state_lock:
-            if not result.partial:
-                # partial payloads are never memoized: the next request
-                # (or one without the deadline pressure) should get the
-                # chance to converge fully, and a complete memo may serve
-                # later allow_partial requests outright
-                self._memo[key] = {
-                    f: v for f, v in payload.items() if f != "served"}
-                self._results[key] = result
-        return payload, result
+            served = ("warm" if result.profile is not None
+                      and result.profile.dataflow_steps == 0 else "computed")
+        payload = dict(entry.derive("payload", _payload), served=served)
+        if want_pickle:
+            payload["pickle"] = entry.derive("pickle", _encode)
+        return payload
+
+
+def _payload(result) -> Dict[str, object]:
+    """Every ``analyze`` response field of *result* but ``served``."""
+    profile = result.profile
+    return {
+        "sections": result.describe(),
+        "counts": dataclasses.asdict(result.lock_counts()),
+        "analysis_time": result.analysis_time,
+        "pointer_time": result.pointer_time,
+        "dataflow_time": result.dataflow_time,
+        "profile": profile.as_dict() if profile is not None else None,
+        "partial": result.partial,
+        "degraded_sections": sorted(result.degraded_sections),
+    }
+
+
+def _encode(result) -> str:
+    """The ``pickle`` field: *result*, pickled and base64-encoded."""
+    from ..inference.diskcache import _pickle
+
+    return base64.b64encode(_pickle(result)).decode("ascii")

@@ -1,9 +1,10 @@
-"""``repro.inference.analysis``: the sweep memo and the profile record."""
+"""``repro.inference``: the sweep memo's key and the profile record."""
 
 import dataclasses
 
-from repro.inference import LockInference, analysis
-from repro.inference.analysis import AnalysisProfile, shared_analysis
+from repro.inference import LockInference, memo
+from repro.inference.analysis import AnalysisProfile
+from repro.inference.memo import shared_analysis
 from repro.inference.solver import STAT_NAMES
 
 
@@ -15,14 +16,14 @@ class _Colliding(str):
 
 
 def test_shared_analysis_is_keyed_on_the_text_not_its_hash(monkeypatch):
-    monkeypatch.setattr(analysis, "_SHARED_CACHE", {})
-    monkeypatch.setattr(analysis, "SharedAnalysis",
-                        lambda source: ("front of", str(source)))
+    monkeypatch.setattr(memo, "MEMO", memo.AnalysisMemo())
+    monkeypatch.setattr(memo, "SharedAnalysis",
+                        lambda source, cache_dir: ("front of", str(source)))
     first = _Colliding("int a; void main() { a = 1; }")
     second = _Colliding("int b; void main() { b = 2; }")
     assert hash(first) == hash(second) and first != second
     assert shared_analysis(first) == ("front of", str(first))
-    # at the parent the cache key was hash(source): this returned first's
+    # a memo keyed on hash(source) would return first's front here
     assert shared_analysis(second) == ("front of", str(second))
     assert shared_analysis(first) is shared_analysis(first)
 

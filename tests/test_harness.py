@@ -36,6 +36,13 @@ def test_seeded_result_is_keyed_by_text():
     assert inference_for(seeded, 4).describe() == _locks_of(seeded, 4)
 
 
+def test_seeded_result_is_the_object_served():
+    source = ALL_BENCHMARKS["bayes"].source
+    installed = LockInference(source, k=3).run()
+    seed_inference_cache(source, 3, installed)
+    assert inference_for(source, 3) is installed
+
+
 def test_build_world_modes():
     spec = ALL_BENCHMARKS["rbtree"]
     for config, expected_mode in (

@@ -228,3 +228,29 @@ def test_reduce_locks_is_antichain_and_covering(locks):
     # covering: every input lock is ≤ some kept lock
     for lock in locks:
         assert any(lock_leq(lock, kept) for kept in reduced)
+
+
+def _pairwise_reduce(locks):
+    """The definition ``reduce_locks`` implements in one pass: keep each
+    lock that no other lock of the set strictly covers."""
+    locks = set(locks)
+    return frozenset(lock for lock in locks
+                     if not any(lock_lt(lock, other) for other in locks))
+
+
+_EFFECTS = st.sampled_from((RO, RW))
+_CLASSES = st.integers(min_value=0, max_value=3)
+_RANDOM_LOCK = st.one_of(
+    _EFFECTS.map(global_lock),
+    st.builds(coarse_lock, _CLASSES, _EFFECTS),
+    st.builds(fine_lock,
+              st.sampled_from((TVar("x"), TStar(TVar("x")), TStar(TVar("y")),
+                               TPlus(TStar(TVar("x")), "next"))),
+              _CLASSES, _EFFECTS, st.sampled_from(("f", "g"))),
+)
+
+
+@given(st.lists(_RANDOM_LOCK, max_size=24))
+@settings(max_examples=400, deadline=None)
+def test_reduce_locks_matches_the_pairwise_definition(locks):
+    assert reduce_locks(locks) == _pairwise_reduce(locks)

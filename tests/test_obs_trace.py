@@ -213,8 +213,8 @@ def test_bench_trace_ships_spans_from_all_layers(tmp_path):
     # the harness memoizes inference per (source, k) in-process; an earlier
     # test may have analysed this cell already, which would (truthfully)
     # leave no inference spans in the trace — start from a cold memo
-    from repro.bench import harness
-    harness._CACHE._cache.clear()
+    from repro.inference.memo import MEMO
+    MEMO.flush()
     events_path = tmp_path / "run.jsonl"
     cells = [Cell(bench="hashtable-2", config="fine+coarse", threads=2,
                   setting="high", n_ops=4, ncores=2)]

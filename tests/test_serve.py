@@ -16,8 +16,10 @@ Guarantee families:
   socket file disappears, the event stream ends with ``serve-stop``).
 """
 
+import base64
 import json
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -210,6 +212,127 @@ def test_fetch_inference_returns_working_result(server):
     with _client(server) as client:
         assert client.analyze(source, k=9,
                               want_pickle=True)["served"] == "memo"
+
+
+# ---------------------------------------------------------------------------
+# the memo: each result's wire forms are built once per resident entry
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """Counts the pickling of whole inference results (the disk cache
+    pickles fronts and summary tables through the same function)."""
+    from repro.inference import InferenceResult, diskcache
+
+    calls = []
+    real = diskcache._pickle
+
+    def counting(value):
+        if isinstance(value, InferenceResult):
+            calls.append(value)
+        return real(value)
+
+    monkeypatch.setattr(diskcache, "_pickle", counting)
+    return calls
+
+
+def test_repeated_pickle_requests_encode_once(server, encodes):
+    source = ALL_BENCHMARKS["hashtable"].source
+    with _client(server) as client:
+        responses = [client.analyze(source, k=9, want_pickle=True)
+                     for _ in range(3)]
+    assert [r["served"] for r in responses] == ["computed", "memo", "memo"]
+    assert len(encodes) == 1
+    assert responses[1]["pickle"] == responses[0]["pickle"]
+    assert responses[2]["pickle"] == responses[0]["pickle"]
+
+    from repro.inference import transform_with_inference
+    from repro.lang import print_lowered_program
+
+    decoded = pickle.loads(base64.b64decode(responses[2]["pickle"]))
+    fresh = LockInference(source, k=9).run()
+    assert decoded.describe() == fresh.describe()
+    assert (print_lowered_program(transform_with_inference(decoded))
+            == print_lowered_program(transform_with_inference(fresh)))
+
+
+def test_flush_drops_the_encodings(server, encodes):
+    source = ALL_BENCHMARKS["list"].source
+    with _client(server) as client:
+        first = client.analyze(source, k=1, want_pickle=True)
+        assert client.flush()["flushed"] == {"fronts": 1, "results": 1}
+        again = client.analyze(source, k=1, want_pickle=True)
+    assert again["served"] != "memo"
+    assert len(encodes) == 2
+    assert again["sections"] == first["sections"]
+
+
+def test_single_flight_table_empties_after_each_result(server):
+    sources = [spec.source for spec in ALL_BENCHMARKS.values()][:4]
+    with _client(server) as client:
+        for source in sources:
+            client.analyze(source, k=0)
+        client.flush()
+    assert server._memo._flights == {}
+
+
+def test_memo_single_flights_results_and_derived_values():
+    """More threads than cores, switching often: one key is solved once
+    and each derived value built once, whoever asks first."""
+    from repro.inference.memo import AnalysisMemo
+
+    memo = AnalysisMemo()
+    source = ALL_BENCHMARKS["TH"].source
+    built, solved, errors = [], [], []
+
+    def build(result):
+        built.append(result)
+        time.sleep(0.01)  # widen the window for a racing second build
+        return "encoded"
+
+    def worker():
+        try:
+            entry, memoized = memo.entry(source, 9)
+            if not memoized:
+                solved.append(entry)
+            assert entry.derive("pickle", build) == "encoded"
+        except Exception as err:  # noqa: BLE001 - collected for the assert
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(solved) == 1 and len(built) == 1
+    assert memo.counts() == {"fronts": 1, "results": 1}
+    assert memo._flights == {}
+
+
+class _CollidingSource(str):
+    """Source text whose hash equals every other instance's."""
+
+    def __hash__(self) -> int:
+        return 0
+
+
+def test_server_memo_tells_colliding_sources_apart(server):
+    # the wire carries plain text, so the colliding strings go straight
+    # into the server's analyze path
+    first = _CollidingSource(ALL_BENCHMARKS["rbtree"].source)
+    second = _CollidingSource(ALL_BENCHMARKS["genome"].source)
+    assert hash(first) == hash(second) and first != second
+    for source in (first, second, first, second):
+        payload = server._analyze(source, 9, True, want_pickle=False)
+        assert payload["sections"] == _expected(str(source), 9)[0]
 
 
 # ---------------------------------------------------------------------------
