@@ -6,5 +6,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "graph": ("CFG", "Node", "SectionInfo"),
     "build": ("build_cfg", "build_cfgs"),
     "callgraph": ("CallSchedule", "build_schedule", "call_graph",
-                  "cone_hashes", "function_text", "tarjan_sccs"),
+                  "tarjan_sccs"),
 })

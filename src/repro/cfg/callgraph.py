@@ -1,25 +1,21 @@
-"""Call-graph condensation for the summary scheduler.
+"""Call-graph condensation: the order the summary solver walks.
 
 Function summaries (:mod:`repro.inference.solver`) depend only on the
-summaries of (transitive) callees, so the natural evaluation order is
-bottom-up over the condensation of the call graph: condense the defined
-functions into strongly connected components (mutual recursion), then
-process SCCs level by level in reverse topological order.  Two SCCs on the
-same level cannot call each other, so when a level is done every summary
-below it is final — the safe point the checkpointing scheduler flushes at.
+summaries of (transitive) callees, so the solver evaluates them bottom-up
+over the condensation of the call graph: condense the defined functions
+into strongly connected components (mutual recursion), then solve SCCs
+level by level in reverse topological order.  Two SCCs on the same level
+cannot call each other, so when a level is done every summary below it is
+final — the safe point a checkpointing run flushes at.
 
-The same condensation carries the *cone hashes* behind the persistent
-analysis cache: ``cone_hashes`` folds each function's canonical IR text
-together with the hashes of everything it can reach, so a function's hash
-changes exactly when its own body or any (transitive) callee changed —
-the invalidation unit of the on-disk summary cache is the SCC cone.
+The disk cache keys its entries on the same condensation
+(:func:`repro.inference.diskcache.cone_hashes`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..lang import ir
 
@@ -111,6 +107,7 @@ class CallSchedule:
       appears below *i*;
     * ``levels[d]`` — the component indices whose longest callee chain has
       depth *d*; components on one level are mutually call-independent;
+    * ``level_of[i]`` — the level of component *i*;
     * ``func_scc`` — function name → component index;
     * ``scc_callees[i]`` — component indices directly called from *i*;
     * ``recursive[i]`` — whether component *i* actually contains a cycle
@@ -121,13 +118,11 @@ class CallSchedule:
 
     sccs: List[Tuple[str, ...]]
     levels: List[List[int]]
+    level_of: List[int]
     func_scc: Dict[str, int]
     scc_callees: List[FrozenSet[int]]
     recursive: List[bool]
     _reachable: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-
-    def scc_of(self, func_name: str) -> int:
-        return self.func_scc[func_name]
 
     def reachable(self, scc_index: int) -> FrozenSet[str]:
         cached = self._reachable.get(scc_index)
@@ -175,73 +170,6 @@ def build_schedule(program: ir.LoweredProgram) -> CallSchedule:
     levels: List[List[int]] = [[] for _ in range(depth)]
     for idx, level in enumerate(level_of):
         levels[level].append(idx)
-    return CallSchedule(sccs=sccs, levels=levels, func_scc=func_scc,
-                        scc_callees=scc_callees, recursive=recursive)
-
-
-# ---------------------------------------------------------------------------
-# canonical function text and cone hashes (persistent-cache keys)
-# ---------------------------------------------------------------------------
-
-
-def function_text(func: ir.LoweredFunction) -> str:
-    """A canonical, whitespace-stable rendering of one lowered function.
-
-    Covers everything the per-function dataflow reads from the IR: the
-    signature, the declared locals with their types, and the structured
-    body (branch conditions included).  Two functions with equal text are
-    interchangeable for the summary solver given equal pointer results.
-    """
-    lines: List[str] = [
-        f"func {func.name}({', '.join(func.params)})",
-        f"ret {func.ret_type}",
-        "locals " + ", ".join(
-            f"{name}:{func.locals[name]}" for name in sorted(func.locals)
-        ),
-    ]
-
-    def emit(instrs: Sequence[ir.Instr], depth: int) -> None:
-        pad = "." * depth
-        for instr in instrs:
-            if isinstance(instr, ir.IIf):
-                lines.append(f"{pad}if {instr.cond}")
-                emit(instr.then, depth + 1)
-                lines.append(f"{pad}else")
-                emit(instr.orelse, depth + 1)
-            elif isinstance(instr, ir.IWhile):
-                lines.append(f"{pad}while {instr.cond}")
-                emit(instr.body, depth + 1)
-            elif isinstance(instr, ir.IAtomic):
-                lines.append(f"{pad}atomic {instr.section_id}")
-                emit(instr.body, depth + 1)
-            else:
-                lines.append(f"{pad}{instr}")
-
-    emit(func.body, 0)
-    return "\n".join(lines)
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def cone_hashes(program: ir.LoweredProgram,
-                schedule: CallSchedule) -> Dict[str, str]:
-    """Per-function content hash of the function's whole SCC cone.
-
-    Computed bottom-up over the condensation: a component's hash folds the
-    canonical text of every member with the (sorted) hashes of the
-    components it calls.  Every function of one SCC shares its component's
-    hash — mutual recursion is one invalidation unit — and a function's
-    hash changes iff its own IR or any transitive callee's IR changed.
-    """
-    scc_hash: List[str] = [""] * len(schedule.sccs)
-    for idx, component in enumerate(schedule.sccs):
-        parts = [function_text(program.functions[name]) for name in component]
-        parts.extend(sorted(scc_hash[c] for c in schedule.scc_callees[idx]))
-        scc_hash[idx] = _sha("\x00".join(parts))
-    return {
-        name: scc_hash[idx]
-        for idx, component in enumerate(schedule.sccs)
-        for name in component
-    }
+    return CallSchedule(sccs=sccs, levels=levels, level_of=level_of,
+                        func_scc=func_scc, scc_callees=scc_callees,
+                        recursive=recursive)

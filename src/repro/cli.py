@@ -112,6 +112,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .inference import BudgetExhausted, LockInference
     from .lang import SourceError
 
+    if args.checkpoint_every > 0 and args.no_disk_cache:
+        print("error[usage]: --checkpoint-every flushes to the disk cache; "
+              "it cannot be combined with --no-disk-cache", file=sys.stderr)
+        return 2
     loaded = _load_program(args.file)
     if loaded is None:
         return 2

@@ -6,12 +6,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "analysis": ("LockInference", "infer_locks", "InferenceResult",
                  "LockClassCounts", "AnalysisProfile", "SharedAnalysis"),
     "memo": ("shared_analysis",),
-    "budget": ("AnalysisBudget", "BudgetExhausted", "CheckpointPolicy"),
+    "budget": ("AnalysisBudget", "BudgetExhausted"),
     "kernel": ("Engine",),
     "reference": ("ReferenceEngine",),
     "engine": ("SectionLocks", "SummaryResult"),
     "diskcache": ("AnalysisDiskCache", "analysis_salt", "open_cache"),
-    "schedule": ("PrecomputeReport", "precompute_summaries"),
     "libspec": ("ExternalSpec", "SpecLibrary", "reachable_classes"),
     "transform": ("transform_program", "transform_with_inference",
                   "transform_global"),

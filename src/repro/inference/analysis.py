@@ -31,11 +31,11 @@ from ..obs import trace
 from ..obs.events import envelope
 from ..pointer.steensgaard import PointsTo
 from ..sim.deadline import DeadlineExceeded
-from .budget import AnalysisBudget, BudgetExhausted, CheckpointPolicy
+from .budget import AnalysisBudget, BudgetExhausted
 from .engine import SectionLocks
 from .kernel import Engine
 from .libspec import SpecLibrary
-from .solver import STAT_NAMES, SummarySolver
+from .solver import STAT_NAMES, Checkpointer, SummarySolver
 
 
 @dataclass
@@ -103,7 +103,6 @@ class AnalysisProfile:
     front_shared: bool = False
     front_from_disk: bool = False
     pointer_time: float = 0.0
-    schedule_time: float = 0.0
     dataflow_time: float = 0.0
     cache_io_time: float = 0.0
     sections: int = 0
@@ -117,14 +116,12 @@ class AnalysisProfile:
     peak_bitset_popcount: int = 0
     summaries_from_disk: int = 0
     sections_from_disk: int = 0
+    # the call-graph condensation the summary walk followed
     scc_count: int = 0
     level_count: int = 0
-    sccs_run: int = 0
-    level_times: List[float] = field(default_factory=list)
-    scc_times: Dict[str, float] = field(default_factory=dict)
     interned_terms: Dict[str, int] = field(default_factory=dict)
     # anytime analysis: sections coarsened to the global lock and why,
-    # plus the checkpoint/resume activity of this run's precompute
+    # plus the checkpoint/resume activity of this run's walk
     degraded_sections: int = 0
     budget_reason: Optional[str] = None
     checkpoints: int = 0
@@ -133,8 +130,8 @@ class AnalysisProfile:
 
     @property
     def total_time(self) -> float:
-        return (self.front_time + self.pointer_time + self.schedule_time
-                + self.dataflow_time + self.cache_io_time)
+        return (self.front_time + self.pointer_time + self.dataflow_time
+                + self.cache_io_time)
 
     @property
     def mask_hit_rate(self) -> float:
@@ -151,18 +148,14 @@ class AnalysisProfile:
             f" effects={'on' if self.use_effects else 'off'}):",
             f"  front (parse+lower+cfg): {self.front_time:.3f}s{shared}",
             f"  pointer analysis:        {self.pointer_time:.3f}s",
-        ]
-        if self.schedule_time or self.scc_count:
-            lines.append(
-                f"  scc condensation:        {self.schedule_time:.3f}s"
-                f" ({self.scc_count} sccs, {self.level_count} levels)")
-        lines.extend([
+            f"  call graph:              {self.scc_count} sccs,"
+            f" {self.level_count} levels",
             f"  dataflow:                {self.dataflow_time:.3f}s",
             f"  sections analyzed:       {self.sections}",
             f"  dataflow steps:          {self.dataflow_steps}",
             f"  summary runs:            {self.summary_runs}",
             f"  section reruns:          {self.section_reruns}",
-        ])
+        ]
         if self.mask_hits or self.mask_fallbacks:
             lines.append(
                 f"  bitset kernel:           {self.mask_hits} mask hits,"
@@ -175,14 +168,6 @@ class AnalysisProfile:
                 f"  disk cache:              {self.cache_io_time:.3f}s io,"
                 f" {self.summaries_from_disk} summaries,"
                 f" {self.sections_from_disk} sections loaded")
-        if self.sccs_run:
-            lines.append(
-                f"  sccs solved up front:    {self.sccs_run}"
-                f" over {len(self.level_times)} levels")
-            slowest = sorted(self.scc_times.items(),
-                             key=lambda item: -item[1])[:5]
-            for name, elapsed in slowest:
-                lines.append(f"    {name}: {elapsed:.3f}s")
         if self.checkpoints or self.resumed_from_level is not None:
             resumed = ("fresh" if self.resumed_from_level is None
                        else f"resumed from level {self.resumed_from_level}")
@@ -308,10 +293,9 @@ class LockInference:
 
     *cache_dir* roots the persistent cross-run cache
     (:mod:`repro.inference.diskcache`); with it, *checkpoint_every* > 0
-    solves the function summaries bottom-up over the call graph's SCC
-    condensation (:mod:`repro.inference.schedule`) and flushes converged
-    bundles at level boundaries.  Both leave the inferred lock sets
-    bit-identical to the default lazy, cache-less run.
+    flushes converged summary bundles at the level boundaries of the
+    solver's bottom-up walk (without it, ``ValueError``).  Both leave the
+    inferred lock sets bit-identical to the cache-less run.
     """
 
     def __init__(
@@ -347,6 +331,9 @@ class LockInference:
 
             self._engine_cls = ReferenceEngine
         self.cache_dir = cache_dir if enable_caches else None
+        if self.checkpoint_every and not self.cache_dir:
+            raise ValueError("checkpoint_every needs a disk cache "
+                             "(cache_dir, with enable_caches)")
         self._front_time = 0.0
         if isinstance(program, SharedAnalysis):
             self.shared: Optional[SharedAnalysis] = program
@@ -408,22 +395,14 @@ class LockInference:
 
             andersen = Andersen(self.program, pointsto).analyze()
             oracle = AndersenOracle(pointsto, andersen)
-        schedule = None
         disk = None
         if self.cache_dir:
-            from ..cfg.callgraph import build_schedule
             from . import diskcache
 
-            with trace.timed("analysis.schedule", "inference") as sched_span:
-                schedule = build_schedule(self.program)
-            profile.schedule_time = sched_span.duration
-            profile.scc_count = len(schedule.sccs)
-            profile.level_count = len(schedule.levels)
-        if self.cache_dir:
             with trace.timed("diskcache.open", "diskcache") as open_span:
                 disk = diskcache.open_cache(self.cache_dir, self.program,
                                             pointsto, self.k,
-                                            self.use_effects, schedule)
+                                            self.use_effects)
             profile.cache_io_time += open_span.duration
         if self.budget is not None:
             self.budget.arm()
@@ -435,26 +414,13 @@ class LockInference:
             # a partial unwind may persist converged summaries, so the
             # engine must track its drained-worklist safe points
             engine.track_finals = True
-        checkpoint = None
-        if self.checkpoint_every and disk is not None:
-            checkpoint = CheckpointPolicy(every=self.checkpoint_every,
-                                          on_checkpoint=self.on_checkpoint)
+        ckpt = None
+        if self.checkpoint_every:
+            ckpt = engine.checkpointer = Checkpointer(
+                engine, self.checkpoint_every, self.on_checkpoint)
         degraded_reason = None
         with trace.timed("analysis.dataflow", "inference") as flow_span:
             try:
-                if checkpoint is not None:
-                    # checkpointing rides on the bottom-up schedule: level
-                    # boundaries are exactly where every summary is final
-                    from .schedule import precompute_summaries
-
-                    report = precompute_summaries(engine, schedule,
-                                                  checkpoint=checkpoint)
-                    profile.sccs_run = report.sccs_run
-                    profile.level_times = list(report.level_times)
-                    profile.scc_times = dict(report.scc_times)
-                    profile.checkpoints = report.checkpoints
-                    profile.levels_skipped = report.levels_skipped
-                    profile.resumed_from_level = report.resumed_from_level
                 for func_name, cfg in cfgs.items():
                     for section in cfg.sections.values():
                         result.sections[section.section_id] = \
@@ -480,12 +446,20 @@ class LockInference:
                         disk.store_dirty(engine, items=items.items(),
                                          dirty_funcs=dirty)
             profile.cache_io_time += store_span.duration
+        if ckpt is not None:
+            if degraded_reason is None:
+                ckpt.finish()
+            profile.checkpoints = ckpt.checkpoints
+            profile.levels_skipped = ckpt.levels_skipped
+            profile.resumed_from_level = ckpt.resumed_from_level
         profile.dataflow_time = result.dataflow_time
         profile.sections = len(result.sections)
         for name in STAT_NAMES:
             setattr(profile, name, engine.stats[name])
         profile.fact_terms = engine.fact_terms
         profile.peak_bitset_popcount = engine.peak_bits
+        profile.scc_count = len(engine.schedule.sccs)
+        profile.level_count = len(engine.schedule.levels)
         # the registry's cross-counter invariants (the transfer partition)
         # are enforced at this collection point; python -O downgrades the
         # failure to a returned report

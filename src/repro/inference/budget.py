@@ -1,4 +1,4 @@
-"""Analysis budgets and checkpoint policy for anytime inference.
+"""Analysis budgets for anytime inference.
 
 The lattice gives every atomic section a trivially sound fallback — the
 global exclusive lock ``[(⊤, X)]`` — so the analysis never has to choose
@@ -8,24 +8,21 @@ granularity and raises :class:`BudgetExhausted` the moment any axis is
 spent.  Callers that opt into partial results (``allow_partial``) catch the
 exception and coarsen every unconverged section to the global lock instead
 of failing — a pure coarsening, so Theorem 1 soundness is preserved.
-
-:class:`CheckpointPolicy` controls how often ``precompute_summaries``
-flushes converged summary bundles (plus a small ``progress.json`` cursor)
-through the disk cache, so a SIGKILL mid-analysis resumes from the last
-completed level instead of starting over.
+Crash-safe checkpointing lives with the solver's walk
+(:class:`repro.inference.solver.Checkpointer`).
 """
 
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 try:  # stdlib on POSIX; absent on some platforms — RSS ceiling degrades off
     import resource
 except ImportError:  # pragma: no cover - non-POSIX
     resource = None
 
-__all__ = ["AnalysisBudget", "BudgetExhausted", "CheckpointPolicy"]
+__all__ = ["AnalysisBudget", "BudgetExhausted"]
 
 # how many budget polls between RSS samples (getrusage is a syscall; the
 # wall/step checks are just comparisons)
@@ -118,19 +115,3 @@ class AnalysisBudget:
         if self.max_rss_mb is not None:
             parts.append(f"rss<={self.max_rss_mb:g}MiB")
         return " ".join(parts) or "unbounded"
-
-
-@dataclass
-class CheckpointPolicy:
-    """How often ``precompute_summaries`` flushes converged bundles.
-
-    ``every`` counts solved SCC levels that had pending work; every
-    ``every``-th one, the engine's converged summaries are flushed through
-    ``AnalysisDiskCache.store_dirty`` and the ``progress.json`` cursor is
-    rewritten atomically.  ``on_checkpoint`` (if set) runs after each
-    flush with the level number — a hook for tests and operational
-    tooling (the SIGKILL/resume test kills the process from it).
-    """
-
-    every: int = 1
-    on_checkpoint: Optional[Callable[[int], None]] = None

@@ -8,8 +8,8 @@ executor's result cells, which live under ``<root>/cells/``):
   parsing, lowering, CFG construction, and the Steensgaard solve outright.
 * ``summ/``  — per-function summary bundles: every summary-table entry
   belonging to one function, keyed by the function's *cone hash*
-  (:func:`repro.cfg.callgraph.cone_hashes` — its own canonical IR text
-  folded with all transitive callees') plus the analysis salt.
+  (:func:`cone_hashes` — its own canonical IR text folded with all
+  transitive callees') plus the analysis salt.
 * ``sect/``  — final section lock sets, same key plus the section id.
 
 The key discipline carries the soundness argument: a bundle/section hit
@@ -65,14 +65,15 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from ..cfg import build_schedule, cone_hashes
+from ..cfg import CallSchedule, build_schedule
+from ..lang import ir
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry
 
@@ -93,6 +94,65 @@ TMP_TTL_S = 3600.0
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def function_text(func: ir.LoweredFunction) -> str:
+    """A canonical, whitespace-stable rendering of one lowered function.
+
+    Covers everything the per-function dataflow reads from the IR: the
+    signature, the declared locals with their types, and the structured
+    body (branch conditions included).  Two functions with equal text are
+    interchangeable for the summary solver given equal pointer results.
+    """
+    lines: List[str] = [
+        f"func {func.name}({', '.join(func.params)})",
+        f"ret {func.ret_type}",
+        "locals " + ", ".join(
+            f"{name}:{func.locals[name]}" for name in sorted(func.locals)
+        ),
+    ]
+
+    def emit(instrs: Sequence[ir.Instr], depth: int) -> None:
+        pad = "." * depth
+        for instr in instrs:
+            if isinstance(instr, ir.IIf):
+                lines.append(f"{pad}if {instr.cond}")
+                emit(instr.then, depth + 1)
+                lines.append(f"{pad}else")
+                emit(instr.orelse, depth + 1)
+            elif isinstance(instr, ir.IWhile):
+                lines.append(f"{pad}while {instr.cond}")
+                emit(instr.body, depth + 1)
+            elif isinstance(instr, ir.IAtomic):
+                lines.append(f"{pad}atomic {instr.section_id}")
+                emit(instr.body, depth + 1)
+            else:
+                lines.append(f"{pad}{instr}")
+
+    emit(func.body, 0)
+    return "\n".join(lines)
+
+
+def cone_hashes(program: ir.LoweredProgram,
+                schedule: CallSchedule) -> Dict[str, str]:
+    """Per-function content hash of the function's whole SCC cone.
+
+    Computed bottom-up over the condensation: a component's hash folds the
+    canonical text of every member with the (sorted) hashes of the
+    components it calls.  Every function of one SCC shares its component's
+    hash — mutual recursion is one invalidation unit — and a function's
+    hash changes iff its own IR or any transitive callee's IR changed.
+    """
+    scc_hash: List[str] = [""] * len(schedule.sccs)
+    for idx, component in enumerate(schedule.sccs):
+        parts = [function_text(program.functions[name]) for name in component]
+        parts.extend(sorted(scc_hash[c] for c in schedule.scc_callees[idx]))
+        scc_hash[idx] = _sha("\x00".join(parts))
+    return {
+        name: scc_hash[idx]
+        for idx, component in enumerate(schedule.sccs)
+        for name in component
+    }
 
 
 def pointer_fingerprint(pointsto) -> str:
@@ -307,13 +367,17 @@ class AnalysisDiskCache:
 
     Engine-facing surface: ``load_bundle`` / ``load_section`` /
     ``store_section`` (called from inside the solve) and ``store_dirty``
-    (called once per run to persist whatever the solve changed).
+    (called once per run to persist whatever the solve changed).  The
+    condensation the cone hashes were computed over rides along as
+    ``schedule``, so the solver walks it instead of building a second one.
     """
 
-    def __init__(self, root: str, cone: Dict[str, str], salt: str) -> None:
+    def __init__(self, root: str, cone: Dict[str, str], salt: str,
+                 schedule: Optional[CallSchedule] = None) -> None:
         self.root = root
         self.cone = cone
         self.salt = salt
+        self.schedule = schedule
         # the summary table file, read at most once per cache instance:
         # {func_name: (cone_hash, {summary_key: SummaryResult})}
         self._summ_table: Optional[Dict[str, Tuple[str, Dict]]] = None
@@ -497,7 +561,6 @@ def open_cache(root: str, program, pointsto, k: int,
     """Build the cache view for one analysis configuration."""
     if schedule is None:
         schedule = build_schedule(program)
-    cone = cone_hashes(program, schedule)
     analysis_root = os.path.join(root, "analysis")
     if os.path.isdir(analysis_root):
         # reclaim temp files orphaned by crashed/killed writers before any
@@ -505,8 +568,9 @@ def open_cache(root: str, program, pointsto, k: int,
         gc_stale_tmp(analysis_root)
     return AnalysisDiskCache(
         analysis_root,
-        cone,
+        cone_hashes(program, schedule),
         analysis_salt(pointsto, k, use_effects),
+        schedule,
     )
 
 

@@ -21,9 +21,11 @@ listed in ``docs/PERFORMANCE.md`` beside the measurement that keeps it:
   :class:`~repro.inference.subst.Substituter` and the memo built from it
   — is shared by every node performing that write and persists across
   fixpoint iterations;
-* sections converge by **dependency-driven invalidation**: a section is
-  re-run only when a summary it actually demanded changed, not whenever
-  any summary anywhere moved.
+* sections converge by **dependency-driven invalidation**: the solver's
+  bottom-up walk has already solved every access summary a section reads,
+  so what is left to move are the transfer summaries the section's own
+  dataflow demands, and a section is re-run only when one of those
+  changed, not whenever any summary anywhere moved.
 
 Call nodes are not distributive — they read the summary table — so they
 decode, run :meth:`TransferSpec.call_transfer`, and encode again.

@@ -1,42 +1,48 @@
 """The summary fixpoint both engines share.
 
 Function summaries (see :mod:`repro.inference.transfer` for what they
-mean) are solved by a global worklist with dependency re-enqueueing: a
-dataflow run that reads a summary registers its requester under the
-summary's key, and a summary whose value moves re-enqueues every summary
-that read it.  Both lattices are finite thanks to k-limiting, so this
-terminates.  :class:`SummarySolver` owns that table and everything around
-it that does not depend on how a fact set is represented — disk-bundle
-loading, the safe-point snapshots of anytime analysis, the budget/deadline
-poll, lock assembly, the solver counters.  A driver adds the dataflow
-itself: one worklist loop over a function's CFG (a section region is the
-same loop restricted to the section's nodes) and the loop that re-runs a
-section until the summaries it read are stable.
+mean) are solved bottom-up over the call-graph condensation
+(:mod:`repro.cfg.callgraph`): before a section is analysed, the access
+summaries of every function its call nodes can reach are solved one SCC at
+a time, callees first, so each summary is computed after everything it
+reads is final.  What the walk cannot precompute goes through a worklist
+with dependency re-enqueueing: mutual recursion inside one SCC, and the
+transfer summaries keyed by the caller's facts, which exist only once a
+dataflow asks for them.  A dataflow run that reads a summary registers its
+requester under the summary's key, and a summary whose value moves
+re-enqueues every summary that read it.  Both lattices are finite thanks to
+k-limiting, so this terminates.
 
-Two cross-run layers sit on top (:mod:`repro.inference.schedule`,
-:mod:`repro.inference.diskcache`): :meth:`SummarySolver.precompute_funcs`
-solves access summaries bottom-up over the call-graph condensation, and an
-optional disk cache serves whole summary bundles and section lock sets
-keyed by content hashes of the function's SCC cone.
+:class:`SummarySolver` owns that table and everything around it that does
+not depend on how a fact set is represented — the walk, disk-bundle
+loading, checkpoint flushes, the safe-point snapshots of anytime analysis,
+the budget/deadline poll, lock assembly, the solver counters.  A driver
+adds the dataflow itself: one worklist loop over a function's CFG (a
+section region is the same loop restricted to the section's nodes) and the
+loop that re-runs a section until the summaries it read are stable.  An
+optional disk cache (:mod:`repro.inference.diskcache`) serves whole
+summary bundles and section lock sets keyed by content hashes of the
+function's SCC cone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
-from ..cfg import CFG, Node, SectionInfo
+from ..cfg import CFG, CallSchedule, Node, SectionInfo, build_schedule
 from ..lang import ir
 from ..locks.effects import RW
 from ..locks.paperlock import Lock, coarse_lock, fine_lock, global_lock, reduce_locks
+from ..obs.events import envelope
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import get_tracer
+from ..obs.trace import get_tracer, timed
 from ..pointer.aliasing import AliasOracle
 from ..pointer.steensgaard import PointsTo
 from ..sim.deadline import check_deadline
 from .engine import SectionLocks, SummaryResult
 from .libspec import SpecLibrary
-from .transfer import Emissions, TermSet, TransferSpec
+from .transfer import Emissions, TermSet, TransferSpec, is_call
 
 # How many worklist pops between cooperative-deadline polls.  A caller
 # that armed :func:`repro.sim.deadline.set_deadline` (the serve worker's
@@ -65,6 +71,69 @@ STAT_NAMES = (
 # PR that deleted the call cache; they stay registered at 0 until a
 # benchmark PR drops its two call_cache metrics.
 _RETIRED_STAT_NAMES = ("transfer_cache_hits", "transfer_cache_stale")
+
+
+class Checkpointer:
+    """Crash-safe checkpointing of the walk's level boundaries.
+
+    When the walk finishes a level with work, every summary in the table
+    is final (all callees live in lower levels), so every *every*-th such
+    level the converged snapshot is flushed through ``store_dirty`` and
+    the ``progress.json`` cursor is rewritten atomically;
+    *on_checkpoint* (if set) then runs with the level number — a hook for
+    tests and operational tooling.  A rerun after SIGKILL finds the
+    flushed bundles warm and the walk skips their levels; by the cone-hash
+    discipline its result is identical to an uninterrupted run.
+    ``LockInference`` attaches one to a solver that has a disk cache when
+    ``checkpoint_every`` asks for it.
+    """
+
+    def __init__(self, solver: "SummarySolver", every: int,
+                 on_checkpoint: Optional[Callable[[int], None]] = None,
+                 ) -> None:
+        self.solver = solver
+        self.every = max(1, every)
+        self.on_checkpoint = on_checkpoint
+        self.disk = solver.disk_cache
+        self.since_flush = 0
+        self.checkpoints = 0
+        # levels the walk reached with nothing left to solve because
+        # bundles loaded from disk already held their summaries
+        self.levels_skipped = 0
+        progress = self.disk.load_progress()
+        self.resumed_from_level = (None if progress is None
+                                   else int(progress.get("level", -1)))
+        # checkpoint snapshots must only ever hold drained-worklist (final)
+        # summaries
+        solver.track_finals = True
+
+    def level_done(self, level: int) -> None:
+        self.since_flush += 1
+        if self.since_flush < self.every:
+            return
+        items, dirty = self.solver.converged_snapshot()
+        with timed("schedule.checkpoint", "inference", level=level):
+            stored = self.disk.store_dirty(
+                self.solver, items=items.items(), dirty_funcs=dirty)
+            self.disk.store_progress(
+                level=level, levels=len(self.solver.schedule.levels),
+                bundles=stored)
+        self.since_flush = 0
+        self.checkpoints += 1
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.event(envelope("checkpoint", level=level, bundles=stored))
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(level)
+
+    def finish(self) -> None:
+        """Uninterrupted completion (the run's own store has persisted
+        everything): drop the cursor, report a resume."""
+        self.disk.clear_progress()
+        tracer = get_tracer()
+        if self.resumed_from_level is not None and tracer.enabled:
+            tracer.event(envelope("resume", level=self.resumed_from_level,
+                                  levels_skipped=self.levels_skipped))
 
 
 class Run:
@@ -133,6 +202,8 @@ class SummarySolver:
         self._final_items: Optional[Dict[tuple, SummaryResult]] = None
         self._final_dirty: Set[str] = set()
         self._backward_ranks: Dict[str, Dict[int, int]] = {}
+        self._schedule: Optional[CallSchedule] = None
+        self.checkpointer: Optional[Checkpointer] = None
         self._tracer = get_tracer()
         # solver counters live in a metrics registry; ``stats`` is the
         # dict-shaped view the rest of the code mutates, so every increment
@@ -176,8 +247,8 @@ class SummarySolver:
     def mark_converged(self) -> None:
         """Snapshot the summary table at a drained-worklist safe point.
 
-        Called at level boundaries in ``precompute_summaries`` and after
-        each converged section.  Only these snapshots may be persisted by
+        Called at the level boundaries of the walk and after each
+        converged section.  Only these snapshots may be persisted by
         a partial (budget-exhausted) unwind; anything newer may contain
         below-fixpoint values.  No-op unless ``track_finals`` is set, so
         full runs pay nothing.
@@ -217,6 +288,7 @@ class SummarySolver:
             if locks is not None:
                 self.stats["sections_from_disk"] += 1
                 return SectionLocks(section.section_id, func_name, locks)
+        self._walk(section)
         entry_terms, coarse = self._converge_section(
             func_name, section, ("section", section.section_id))
         locks = self._assemble_locks(func_name, entry_terms, coarse)
@@ -246,12 +318,9 @@ class SummarySolver:
     def _demand_summary(self, key: tuple, requester: tuple) -> SummaryResult:
         self._deps.setdefault(key, set()).add(requester)
         if key not in self._summaries:
-            func_name = key[1]
-            self.preload_bundles((func_name,))
-            if key not in self._summaries:
-                self._summaries[key] = SummaryResult.empty()
-                self.dirty_funcs.add(func_name)
-                self._enqueue(key)
+            self._summaries[key] = SummaryResult.empty()
+            self.dirty_funcs.add(key[1])
+            self._enqueue(key)
         return self._summaries[key]
 
     def preload_bundles(self, funcs: Iterable[str]) -> None:
@@ -261,8 +330,9 @@ class SummarySolver:
         Loaded entries are final: the cone hash that keyed them guarantees
         every transitive callee is byte-identical, so their fixpoint values
         cannot move — they are never enqueued, and the solver never
-        recomputes them.  Keys already in flight (demanded before the
-        bundle arrived) keep their in-progress value.
+        recomputes them.  The walk loads a section's whole callee cone
+        before it demands anything, and every summary a solve can demand
+        belongs to that cone.
         """
         if self.disk_cache is None:
             return
@@ -281,10 +351,6 @@ class SummarySolver:
             if loaded:
                 self.stats["summaries_from_disk"] += loaded
                 self.loaded_funcs.add(func_name)
-
-    def has_summary(self, key: tuple) -> bool:
-        """Whether *key* already has a table entry (loaded or solved)."""
-        return key in self._summaries
 
     def _enqueue(self, key: tuple) -> None:
         if key not in self._queued:
@@ -342,15 +408,66 @@ class SummarySolver:
             self._backward_ranks[func_name] = rank
         return rank
 
-    # -- bottom-up precomputation hooks (inference.schedule) ------------
+    # -- the bottom-up walk ----------------------------------------------
+
+    @property
+    def schedule(self) -> CallSchedule:
+        """The call-graph condensation the walk follows: the disk cache's
+        when it has one, else built once, on first use."""
+        if self._schedule is None:
+            self._schedule = (getattr(self.disk_cache, "schedule", None)
+                              or build_schedule(self.program))
+        return self._schedule
+
+    def _walk(self, section: SectionInfo) -> None:
+        """Solve the access summaries *section* will read, callees first.
+
+        Those are the callees of the region's call nodes and everything
+        they reach.  Their SCCs are solved level by level, so every summary
+        a component reads from outside itself is already final: the solve
+        iterates only within the component, and each level boundary is a
+        safe point.  Components whose summaries are already in the table —
+        solved for an earlier section, or loaded from disk — are skipped.
+        """
+        functions = self.program.functions
+        called = {node.instr.rhs.func for node in section.nodes
+                  if is_call(node) and node.instr.rhs.func in functions}
+        if not called:
+            return
+        schedule = self.schedule
+        cone: Set[str] = set()
+        for name in called:
+            cone |= schedule.cone_funcs(name)
+        self.preload_bundles(sorted(cone))
+        levels: Dict[int, Set[int]] = {}
+        for name in cone:
+            idx = schedule.func_scc[name]
+            levels.setdefault(schedule.level_of[idx], set()).add(idx)
+        ckpt = self.checkpointer
+        for level in sorted(levels):
+            todo = [idx for idx in sorted(levels[level])
+                    if any(("acc", name) not in self._summaries
+                           for name in schedule.sccs[idx])]
+            if not todo:
+                if ckpt is not None and any(
+                        name in self.loaded_funcs
+                        for idx in levels[level]
+                        for name in schedule.sccs[idx]):
+                    ckpt.levels_skipped += 1
+                continue
+            for idx in todo:
+                self.precompute_funcs(schedule.sccs[idx])
+            self.mark_converged()
+            if ckpt is not None:
+                ckpt.level_done(level)
 
     def precompute_funcs(self, funcs) -> None:
-        """Demand and solve the access summaries of *funcs* in order.
+        """Demand and solve the access summaries of one SCC's *funcs*.
 
-        Called with one call-graph SCC at a time, bottom-up, so every
-        summary a member demands from outside the component is already at
-        its final value; the solve therefore only iterates within the
-        component (mutual recursion) and the computed entries are final.
+        The walk calls it bottom-up, so every summary a member demands from
+        outside the component is already at its final value; the solve
+        therefore only iterates within the component (mutual recursion)
+        and the computed entries are final.
         """
         for func_name in funcs:
             self._demand_summary(("acc", func_name), ("pre", func_name))

@@ -122,7 +122,7 @@ EVENT_KINDS.update(_kinds("tracer", {
 }))
 EVENT_KINDS.update(_kinds("inference", {
     # anytime analysis: a budget axis was spent and sections degraded to
-    # the global lock; checkpoint/resume cursors from precompute_summaries
+    # the global lock; checkpoint/resume cursors of the solver's walk
     "budget-exhausted": {"reason": _STR, "degraded": _INT},
     "checkpoint": {"level": _INT, "bundles": _INT},
     "resume": {"level": _INT, "levels_skipped": _INT},

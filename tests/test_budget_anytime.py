@@ -318,3 +318,25 @@ def test_progress_cursor_cleared_after_completion(tmp_path):
     progress_dir = os.path.join(cache, "analysis", "progress")
     assert os.path.isdir(progress_dir)
     assert os.listdir(progress_dir) == []
+
+
+def test_checkpoint_without_a_disk_cache_fails_closed(tmp_path, capsys):
+    """Checkpoints are flushed to the disk cache; asking for them without
+    one is an error, not a silently ignored option."""
+    from repro.cli import main
+
+    source = ALL_BENCHMARKS["vacation"].source
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        LockInference(source, checkpoint_every=1)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        LockInference(source, cache_dir=str(tmp_path / "cache"),
+                      enable_caches=False, checkpoint_every=1)
+    program = tmp_path / "prog.mc"
+    program.write_text(source)
+    code = main(["analyze", str(program), "--no-disk-cache",
+                 "--checkpoint-every", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--checkpoint-every" in captured.err

@@ -1,11 +1,13 @@
-"""Bottom-up SCC scheduling and the persistent analysis cache.
+"""The bottom-up summary walk and the persistent analysis cache.
 
-Three guarantee families for the scheduled/cached engine paths:
+Four guarantee families for the solver's walk and the cached engine paths:
 
 * **golden equivalence** — for every benchmark program and k ∈ {0, 1, 9},
-  the bottom-up schedule, the lazy default, and the cache-less reference
+  the default run, a checkpointed cold run, and the cache-less reference
   all produce identical lock sets, and a warm rerun against a populated
   disk cache reproduces the cold run byte for byte;
+* **one walk** — the access summary of a function outside any call cycle
+  is solved exactly once: after its callees, and never again;
 * **incremental invalidation** — editing one function recomputes exactly
   its SCC cone: callee summaries below the edit load from disk, functions
   above it (and only those) re-solve;
@@ -16,15 +18,19 @@ Three guarantee families for the scheduled/cached engine paths:
 """
 
 import os
+import shutil
+from collections import Counter
 
 import pytest
 
 from repro.bench import ALL_BENCHMARKS
 from repro.bench.executor import _cache_path
-from repro.cfg import build_cfgs, build_schedule, call_graph, cone_hashes, tarjan_sccs
+from repro.bench.programs.spec import generate_spec_program
+from repro.cfg import build_cfgs, build_schedule, call_graph, tarjan_sccs
 from repro.inference import (Engine, LockInference, ReferenceEngine,
                              SharedAnalysis, diskcache, open_cache)
-from repro.inference.schedule import precompute_summaries
+from repro.inference.diskcache import cone_hashes
+from repro.inference.solver import SummarySolver
 from repro.lang import ir, lower_program, parse_program
 from repro.pointer import PointsTo
 
@@ -43,39 +49,74 @@ def _rendered(locks_by_section):
 
 
 # ---------------------------------------------------------------------------
-# golden equivalence: bottom-up == lazy == reference engine, warm == cold
+# golden equivalence: default == checkpointed == warm == reference engine
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
 def test_parallel_and_warm_match_reference(name, tmp_path):
     # "parallel" in the id is historical: the fork fan-out it names never
-    # got a task past its weight gate, so these were always the orders
-    # compared — the id stays because the suite's floor list pins it
+    # got a task past its weight gate — the id stays because the suite's
+    # floor list pins it
     source = ALL_BENCHMARKS[name].source
     cache_root = str(tmp_path / "cache")
     for k in KS:
         reference = _locks_by_section(
             LockInference(source, k=k, enable_caches=False).run())
-        lazy = LockInference(source, k=k).run()
-        scheduled, bottom_up = _run_engine(source, k=k, bottom_up=True)
+        default = LockInference(source, k=k).run()
         cold = LockInference(source, k=k, cache_dir=cache_root,
                              checkpoint_every=1).run()
         warm = LockInference(source, k=k, cache_dir=cache_root).run()
-        warm_locks = _locks_by_section(warm)
-        for label, got in (("lazy", _locks_by_section(lazy)),
-                           ("bottom-up", bottom_up),
-                           ("cold-cached", _locks_by_section(cold)),
-                           ("warm", warm_locks)):
+        for label, got in (("default", default),
+                           ("checkpointed-cold", cold),
+                           ("warm", warm)):
+            got = _locks_by_section(got)
             assert got == reference, f"{name} k={k}: {label} diverged"
             assert _rendered(got) == _rendered(reference)
-        # the cold run took the same walk, and a summary solved after its
-        # callees are final is never re-run: no more runs than lazy
-        assert (cold.profile.summary_runs == scheduled.stats["summary_runs"]
-                <= lazy.profile.summary_runs), f"{name} k={k}"
+        # checkpointing only flushes at the walk's level boundaries: the
+        # cold run solves exactly the summaries the default run solves
+        assert (cold.profile.summary_runs
+                == default.profile.summary_runs), f"{name} k={k}"
         # the warm rerun of an unchanged program must skip dataflow
         assert warm.profile.dataflow_steps == 0, f"{name} k={k}"
         assert warm.profile.sections_from_disk == len(reference)
+
+
+# ---------------------------------------------------------------------------
+# one walk: an access summary outside a call cycle is solved once
+# ---------------------------------------------------------------------------
+
+
+# the benchmark sources call at most one level deep from a section, where
+# no order re-solves a summary; the two SPEC-like programs of the infer_k9
+# corpus have the call chains where the lazy order did
+SPEC_CHAINS = {"spec-gzip": ("gzip", 0.5), "spec-parser": ("parser", 0.7)}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS) + sorted(SPEC_CHAINS))
+def test_walk_solves_each_acyclic_access_summary_once(name, monkeypatch):
+    if name in SPEC_CHAINS:
+        source = generate_spec_program(*SPEC_CHAINS[name], 0)
+    else:
+        source = ALL_BENCHMARKS[name].source
+    runs = Counter()
+    compute = SummarySolver._compute_summary
+
+    def counting(self, key):
+        runs[key] += 1
+        return compute(self, key)
+
+    monkeypatch.setattr(SummarySolver, "_compute_summary", counting)
+    for k in KS:
+        runs.clear()
+        result = LockInference(source, k=k).run()
+        schedule = build_schedule(result.program)
+        for key, count in runs.items():
+            if key[0] != "acc":
+                continue
+            if schedule.recursive[schedule.func_scc[key[1]]]:
+                continue
+            assert count == 1, f"{name} k={k}: {key} solved {count} times"
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +204,14 @@ def test_cone_hashes_change_exactly_above_an_edit():
 # ---------------------------------------------------------------------------
 
 
-def _run_engine(source, cache_root=None, k=9, bottom_up=False):
+def _run_engine(source, cache_root=None, k=9):
     program = lower_program(parse_program(source))
     pointsto = PointsTo(program).analyze()
     cfgs = build_cfgs(program)
-    schedule = build_schedule(program)
     disk = None
     if cache_root is not None:
-        disk = open_cache(cache_root, program, pointsto, k, True, schedule)
+        disk = open_cache(cache_root, program, pointsto, k, True)
     engine = Engine(program, cfgs, pointsto, k=k, disk_cache=disk)
-    if bottom_up:
-        precompute_summaries(engine, schedule)
     locks = {}
     for func_name, cfg in cfgs.items():
         for section in cfg.sections.values():
@@ -213,11 +251,17 @@ def test_edit_recomputes_only_dirty_cone(tmp_path):
 
 
 def test_warm_precompute_loads_instead_of_solving(tmp_path):
+    # with the section entries gone the warm rerun walks the section's
+    # callee cone again, and finds every summary in a bundle
     cache_root = str(tmp_path)
-    _run_engine(CHAIN, cache_root, bottom_up=True)
-    warm, _ = _run_engine(CHAIN, cache_root, bottom_up=True)
+    _run_engine(CHAIN, cache_root)
+    shutil.rmtree(os.path.join(cache_root, "analysis", "sect"))
+    warm, _ = _run_engine(CHAIN, cache_root)
+    assert warm.stats["sections_from_disk"] == 0
+    assert warm.loaded_funcs >= {"f", "mid", "h"}
     assert warm.computed_funcs == set()
     assert warm.stats["summary_runs"] == 0
+    assert warm.stats["dataflow_steps"] > 0
 
 
 # ---------------------------------------------------------------------------
