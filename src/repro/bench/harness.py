@@ -100,18 +100,15 @@ def build_world_for_source(
     faults=None,
     setup: str = "setup",
     k: Optional[int] = None,
-    resilience=None,
 ) -> Tuple[World, str]:
     """Prepare a world for *config* from a raw mini-C source.
 
     *race* is an optional :class:`~repro.interp.race.RaceDetector`,
-    *faults* an optional :class:`~repro.runtime.faults.FaultInjector`,
-    *resilience* an optional
-    :class:`~repro.runtime.resilience.ResilienceConfig` (arming the
-    watchdog/recovery runtime on the world); *k* overrides the
-    configuration's default k-limit (negative tests sweep it). The setup
-    phase runs sequentially, then the race detector's barrier marks the
-    fork point so initialization never reports."""
+    *faults* an optional :class:`~repro.runtime.faults.FaultInjector`;
+    *k* overrides the configuration's default k-limit (negative tests
+    sweep it). The setup phase runs sequentially, then the race
+    detector's barrier marks the fork point so initialization never
+    reports."""
     k = CONFIG_K.get(config, 9) if k is None else k
     inference = inference_for(source, k)
     if config == "stm":
@@ -124,8 +121,7 @@ def build_world_for_source(
         program = transform_with_inference(inference)
         mode = "locks"
     world = World(program, pointsto=inference.pointsto, check=check,
-                  audit=audit, race=race, faults=faults,
-                  resilience=resilience)
+                  audit=audit, race=race, faults=faults)
     run_seq(world, setup)
     if race is not None:
         race.barrier()

@@ -507,48 +507,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .explore.chaos import (
-        CHAOS_FAULT_KINDS,
-        CHAOS_POLICY_NAMES,
-        chaos_suite,
-    )
-
-    faults = tuple(
-        f.strip() for f in (args.faults or ",".join(CHAOS_FAULT_KINDS)
-                            ).split(",")
-    )
-    policies = tuple(
-        p.strip() for p in (args.policies or ",".join(CHAOS_POLICY_NAMES)
-                            ).split(",")
-    )
-    for fault in faults:
-        if fault not in CHAOS_FAULT_KINDS:
-            print(f"unknown chaos fault {fault!r} "
-                  f"(choices: {CHAOS_FAULT_KINDS})", file=sys.stderr)
-            return 2
-    for policy in policies:
-        if policy not in CHAOS_POLICY_NAMES:
-            print(f"unknown chaos policy {policy!r} "
-                  f"(choices: {CHAOS_POLICY_NAMES})", file=sys.stderr)
-            return 2
-    report = chaos_suite(
-        faults=faults, policies=policies, program=args.program,
-        schedules=args.schedules, seed=args.seed, threads=args.threads,
-        ops=args.ops, victim_policy=args.victim_policy,
-        check_canary=not args.no_canary,
-    )
-    print(report.describe())
-    if args.events:
-        with open(args.events, "a") as handle:
-            for event in report.events:
-                handle.write(json.dumps(event) + "\n")
-        print(f"{len(report.events)} events -> {args.events}")
-    return 0 if report.ok else 1
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     import json
     import os
@@ -795,31 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diff", action="store_true",
                    help="differential conformance instead of exploration")
     p.set_defaults(func=cmd_explore)
-
-    p = sub.add_parser(
-        "chaos",
-        help="stall-fault chaos suite against the resilience runtime",
-    )
-    p.add_argument("--faults", default=None,
-                   help="comma list from delayed-release, lost-release, "
-                        "invert-order; default all")
-    p.add_argument("--policies", default=None,
-                   help="comma list from random, pct; default both")
-    p.add_argument("--program", default=None,
-                   help="corpus program (default: per-fault choice)")
-    p.add_argument("--schedules", type=int, default=3,
-                   help="recovery-enabled seeds per cell")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=3)
-    p.add_argument("--ops", type=int, default=2)
-    p.add_argument("--victim-policy", default="youngest",
-                   choices=("youngest", "least-work"),
-                   help="deadlock victim selection policy")
-    p.add_argument("--no-canary", action="store_true",
-                   help="skip the recovery-disabled canary search")
-    p.add_argument("--events", default=None,
-                   help="append the JSONL resilience event log to this file")
-    p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
         "trace",

@@ -19,15 +19,6 @@ Entry points:
 * the ``python -m repro explore`` CLI subcommand wraps all three.
 """
 
-from .chaos import (
-    CHAOS_FAULT_KINDS,
-    CHAOS_POLICY_NAMES,
-    ChaosOutcome,
-    ChaosReport,
-    chaos_cell,
-    chaos_suite,
-    make_chaos_injector,
-)
 from .corpus import DIFF_CORPUS, DiffProgram
 from .diff import DiffReport, differential_check, heap_fingerprint
 from .exhaustive import exhaustive_explore, interleaving_count
@@ -41,13 +32,6 @@ from .runner import (
 )
 
 __all__ = [
-    "CHAOS_FAULT_KINDS",
-    "CHAOS_POLICY_NAMES",
-    "ChaosOutcome",
-    "ChaosReport",
-    "chaos_cell",
-    "chaos_suite",
-    "make_chaos_injector",
     "DIFF_CORPUS",
     "DiffProgram",
     "DiffReport",

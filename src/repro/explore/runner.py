@@ -10,7 +10,10 @@ identified by the hash of the chosen-tid trace).
 
 With a :class:`~repro.runtime.faults.FaultInjector` armed the same runner
 becomes the negative-testing harness: the report's ``detections`` then
-*must* be non-zero, or the checkers are vacuous.
+*must* be non-zero, or the checkers are vacuous. Nothing recovers from
+the planted fault: a protection fault must end in a protection, race or
+serializability report, an order inversion or a lost release in a
+``deadlock:`` violation, and a stalled release in a ``livelock:`` one.
 """
 
 from __future__ import annotations
@@ -184,16 +187,13 @@ def run_schedule(
     seed: Optional[int] = None,
     max_ticks: int = 5_000_000,
     injector: Optional[FaultInjector] = None,
-    resilience=None,
     livelock_window: Optional[int] = 50_000,
 ) -> Tuple[ScheduleRecord, World]:
     """Run one schedule; never raises on anomalies — they are recorded.
 
     *injector* passes a pre-configured :class:`FaultInjector` (section /
     tid / occurrence / delay seeding) instead of the every-acquire
-    injector that the *fault* shorthand builds; *resilience* arms the
-    watchdog/recovery runtime with the given
-    :class:`~repro.runtime.resilience.ResilienceConfig`."""
+    injector that the *fault* shorthand builds."""
     if injector is not None:
         faults = injector
     elif fault == "invert-order":
@@ -207,12 +207,11 @@ def run_schedule(
     race = RaceDetector() if (detector and config != "stm") else None
     world, mode = build_world_for_source(
         target.source, config, check=check, audit=audit, race=race,
-        faults=faults, setup=target.setup, k=k, resilience=resilience,
+        faults=faults, setup=target.setup, k=k,
     )
     policy.enable_trace()
     scheduler = Scheduler(ncores=ncores, policy=policy, max_ticks=max_ticks,
-                          livelock_window=livelock_window,
-                          watchdog=world.watchdog)
+                          livelock_window=livelock_window)
     for tid, thread_ops in enumerate(target.schedule(threads, ops)):
         scheduler.spawn(ThreadExec(world, tid, mode=mode).run_ops(thread_ops))
     violations: List[str] = []

@@ -130,25 +130,6 @@ class SerializabilityAuditor:
                 self.edges[history.last_writer].add(instance)
             history.readers_since_write.add(instance)
 
-    def discard_instance(self, instance: int) -> None:
-        """Forget an *aborted* section instance (resilience rollback).
-
-        Its writes were undone and its locks revoked before any other
-        thread could observe them, so edges recorded against it describe
-        state that no longer exists. Scrubbing it from the graph and the
-        per-cell histories is an under-approximation (a reader that
-        already recorded an edge *from* it loses that edge), which is the
-        safe direction for an auditor: aborted work can only produce
-        spurious cycles, never hide real ones."""
-        self.edges.pop(instance, None)
-        self.instances.pop(instance, None)
-        for deps in self.edges.values():
-            deps.discard(instance)
-        for history in self._history.values():
-            if history.last_writer == instance:
-                history.last_writer = None
-            history.readers_since_write.discard(instance)
-
     def find_cycle(self) -> Optional[List[int]]:
         """Return a cycle of instances, or None if the run was serializable."""
         WHITE, GRAY, BLACK = 0, 1, 2

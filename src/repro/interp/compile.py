@@ -22,11 +22,10 @@ compile time:
   here.
 * **Shared-access hooks.**  ``seq`` gets the bare heap access, ``stm`` the
   transaction test, ``locks`` the pair that shows each shared access to
-  the world's checker, race detector, auditor and resilience runtime
-  (see :func:`access_hooks`).
+  the world's race detector, checker and auditor (see
+  :func:`access_hooks`).
 * **Lock terms.**  Each fine lock of an ``acquireAll`` gets its
-  evaluation path as a closure; a resilient world also gets the matching
-  ``releaseAll`` of every ``acquireAll``.
+  evaluation path as a closure.
 
 The tick protocol is the driver's: ``EXEC`` steps run *then* cost
 ``1 + extra_cost``; ``BRANCH`` and ``RETURN`` cost 1 *then* evaluate;
@@ -52,7 +51,6 @@ from ..locks.terms import (
     TVar,
 )
 from ..memory import Heap, InterpError, Loc
-from ..runtime.resilience import SectionAbort
 from .eval import BRANCH, CALL, END, EXEC, NOP, RETURN, SECTION, Code, Step
 
 # ---------------------------------------------------------------------------
@@ -90,16 +88,14 @@ def access_hooks(world, mode: str, func_name: str):
     the bare access (seq), the transaction test (stm), or the locks-mode
     pair below, which shows every shared access to whatever the world
     was built with.  The order is the one their reports depend on: the
-    resilience runtime's abort check and undo log, the race detector,
-    then — inside a section — the §4.2 protection checker and the
-    serializability auditor."""
+    race detector, then — inside a section — the §4.2 protection checker
+    and the serializability auditor."""
     if mode == "stm":
         return _tx_read, _tx_write
     if mode != "locks":
         return _plain_read, _plain_write
     manager = world.lock_manager
-    runtime, race = world.resilience, world.race
-    checker, auditor = world.checker, world.auditor
+    race, checker, auditor = world.race, world.checker, world.auditor
 
     def observe(ex, loc, eff):
         if race is not None and loc.obj.fresh_owner != ex.tid:
@@ -111,27 +107,15 @@ def access_hooks(world, mode: str, func_name: str):
             if auditor is not None and ex.instance is not None:
                 auditor.record(ex.instance, loc, eff)
 
-    def check_abort(ex):
-        # a revoked thread must stop touching the heap promptly: its
-        # locks are gone, continuing would race the new holders
-        if ex.lock_state.nlevel > 0 and runtime.abort_pending(ex.tid):
-            raise SectionAbort(runtime.abort_reason(ex.tid))
-
     def read(ex, loc):
         if not loc.obj.shared:
             return Heap.read(loc)
-        if runtime is not None:
-            check_abort(ex)
         value = Heap.read(loc)
         observe(ex, loc, RO)
         return value
 
     def write(ex, loc, value):
         if loc.obj.shared:
-            if runtime is not None:
-                check_abort(ex)
-                if ex.lock_state.nlevel > 0:
-                    runtime.record_write(ex.tid, loc)  # undo-log pre-image
             observe(ex, loc, RW)
         Heap.write(loc, value)
 
@@ -250,10 +234,8 @@ class _Compiler:
 
     def block(self, instrs: List[ir.Instr], after: int) -> int:
         """Compile *instrs*, leaving to step *after*; returns the entry."""
-        releases: List[int] = []  # releaseAll steps awaiting their acquire
         nxt = after
-        for index in range(len(instrs) - 1, -1, -1):
-            instr = instrs[index]
+        for instr in reversed(instrs):
             if isinstance(instr, ir.IAssign):
                 nxt = self.assign(instr, nxt)
             elif isinstance(instr, ir.IStore):
@@ -275,10 +257,8 @@ class _Compiler:
                 nxt = self.atomic(instr, nxt)
             elif isinstance(instr, ir.IReleaseAll):
                 nxt = self.release(nxt)
-                releases.append(nxt)
             elif isinstance(instr, ir.IAcquireAll):
-                nxt = self.acquire(instr, nxt, index,
-                                   releases.pop() if releases else None)
+                nxt = self.acquire(instr, nxt)
             else:
                 raise InterpError(f"unknown instruction {instr!r}")
         return nxt
@@ -510,36 +490,17 @@ class _Compiler:
             return self.emit(NOP, None, nxt, 1)
         return self.emit(SECTION, lambda ex, cells, frame: ex.release(), nxt)
 
-    def acquire(self, instr: ir.IAcquireAll, nxt: int, index: int,
-                release: Optional[int]) -> int:
-        """*release* is the matching releaseAll step (None: this block has
-        none), which a resilient world's retry loop needs."""
+    def acquire(self, instr: ir.IAcquireAll, nxt: int) -> int:
         if self.mode != "locks":
             # a transformed program run seq/stm (setup phases): sections
             # are not lock-protected
             return self.emit(NOP, None, nxt, 1)
         paths = {lock: self.term(lock.term)
                  for lock in instr.locks if lock.term is not None}
-        if self.world.resilience is None:
-            return self.emit(
-                SECTION,
-                lambda ex, cells, frame: ex.acquire(instr, paths, cells,
-                                                    frame),
-                nxt)
-        steps = self.steps
-
-        def enter(ex, cells, frame):
-            if ex.lock_state.nlevel > 0:
-                return ex.acquire(instr, paths, cells, frame)
-            if release is None:
-                raise InterpError(
-                    f"unmatched acquireAll at instruction {index}: no "
-                    "releaseAll in the same block")
-            # outermost section with recovery: the whole acquire / body /
-            # release span runs under the abort-retry loop
-            return ex.resilient_section(steps, cells, frame, instr, paths,
-                                        nxt, release)
-        return self.emit(SECTION, enter, nxt)
+        return self.emit(
+            SECTION,
+            lambda ex, cells, frame: ex.acquire(instr, paths, cells, frame),
+            nxt)
 
     # -- lock descriptors (fine-grain expression locks) ------------------------
 

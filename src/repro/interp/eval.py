@@ -39,11 +39,6 @@ from ..runtime.api import ThreadLockState, acquire_all, plan_requests, release_a
 from ..runtime.faults import FaultInjector
 from ..runtime.modes import combine
 from ..runtime.manager import LockManager
-from ..runtime.resilience import (
-    ResilienceConfig,
-    ResilienceRuntime,
-    SectionAbort,
-)
 from ..stm.tl2 import TL2System, TL2Tx, TxAbort, backoff_ticks
 from .checker import ProtectionChecker, SerializabilityAuditor
 from .race import RaceDetector
@@ -82,7 +77,6 @@ class World:
         audit: bool = False,
         race: Optional["RaceDetector"] = None,
         faults: Optional["FaultInjector"] = None,
-        resilience: Optional[ResilienceConfig] = None,
     ) -> None:
         self.program = program
         self.heap = Heap()
@@ -100,17 +94,7 @@ class World:
         self.auditor = SerializabilityAuditor() if audit else None
         self.race = race  # dynamic race detector (locks mode only)
         self.faults = faults  # acquisition fault injector (negative tests)
-        self.resilience: Optional[ResilienceRuntime] = None
-        if resilience is not None:
-            self.resilience = ResilienceRuntime(resilience, self.lock_manager)
-            self.resilience.race = race
-            self.resilience.auditor = self.auditor
         self._code: Dict[Tuple[str, str], Code] = {}
-
-    @property
-    def watchdog(self):
-        """Per-tick scheduler hook, or None when resilience is off."""
-        return self.resilience.on_tick if self.resilience is not None else None
 
     def code(self, func_name: str, mode: str) -> Code:
         """*func_name* compiled for *mode* — built at its first call; the
@@ -230,38 +214,6 @@ class ThreadExec:
                 attempts += 1
                 yield backoff_ticks(attempts, self.tid)
 
-    def resilient_section(self, steps, cells, frame: Frame,
-                          acq: ir.IAcquireAll, paths, body: int, release: int):
-        """Run one outermost atomic section with abort-and-rollback.
-
-        On :class:`SectionAbort` (watchdog victimization) the heap undo
-        log was — or is now — applied by the runtime, the frame is
-        restored from a snapshot, and the section retries after backoff.
-        Returns the step to resume at: the one after *release*."""
-        runtime = self.world.resilience
-        while True:
-            snapshot = frame.snapshot()
-            try:
-                yield from self.acquire(acq, paths, cells, frame)
-                yield from self._run(steps, cells, frame, body, release)
-                yield from self.release()
-                return steps[release][2]
-            except SectionAbort as abort:
-                # unwind interpreter-side section state (nested levels may
-                # have been open when the abort surfaced)
-                self.lock_state.nlevel = 0
-                self.instance = None
-                if self._section_token is not None:
-                    get_tracer().end_section(self._section_token,
-                                             outcome="aborted")
-                    self._section_token = None
-                for obj in self.fresh_objs:
-                    obj.fresh_owner = None
-                self.fresh_objs.clear()
-                backoff = runtime.recover(self.tid, abort.reason)
-                frame.restore(snapshot)
-                yield backoff
-
     def acquire(self, instr: ir.IAcquireAll, paths, cells, frame: Frame):
         """Coroutine of a locks-mode ``acquireAll``; *paths* maps each fine
         lock to its compiled descriptor evaluation."""
@@ -284,29 +236,16 @@ class ThreadExec:
         def evaluate(lock):
             return paths[lock](cells, frame)
 
-        runtime = self.world.resilience
-        if runtime is not None:
-            runtime.section_enter(self.tid, instr.section_id)
         faults = self.world.faults
         inject = faults is not None and faults.arm(self.tid, instr.section_id)
         attempts = 0
         while True:
             plan = plan_requests(instr.locks, evaluate)
-            degraded = False
-            if runtime is not None:
-                demoted = runtime.plan_for(self.tid, instr.section_id, plan)
-                degraded = demoted != plan
-                plan = demoted
             if inject:
                 plan = faults.apply(plan)
             yield max(1, len(instr.locks))  # descriptor evaluation cost
             yield from acquire_all(self.world.lock_manager, self.tid, plan,
-                                   runtime=runtime,
                                    section_id=instr.section_id)
-            if degraded:
-                # the single global X lock protects everything; there are
-                # no fine-grain terms left to revalidate
-                break
             # Validate-and-retry: fine-grain descriptors were evaluated
             # before the locks were held, so a racing thread may have
             # redirected a pointer on the path meanwhile. Re-evaluate under
@@ -333,30 +272,17 @@ class ThreadExec:
             )
         if self.world.auditor is not None:
             self.instance = self.world.auditor.begin_instance(instr.section_id)
-        if runtime is not None:
-            runtime.bind_instance(self.tid, self.instance)
 
     def release(self):
         """Coroutine of a locks-mode ``releaseAll``."""
         state = self.lock_state
         if state.nlevel == 1:
-            runtime = self.world.resilience
             faults = self.world.faults
             action = (faults.take_release_action(self.tid)
                       if faults is not None else None)
             if action is not None and action[0] == "delay":
-                # stuck critical section: stall while holding the locks,
-                # in chunks so a watchdog revocation is noticed promptly
-                remaining = action[1]
-                while remaining > 0:
-                    step = min(remaining, 128)
-                    yield step
-                    remaining -= step
-                    if (runtime is not None
-                            and runtime.abort_pending(self.tid)):
-                        raise SectionAbort(runtime.abort_reason(self.tid))
-            if runtime is not None and runtime.abort_pending(self.tid):
-                raise SectionAbort(runtime.abort_reason(self.tid))
+                # stuck critical section: stall while holding the locks
+                yield action[1]
             for obj in self.fresh_objs:
                 obj.fresh_owner = None
             self.fresh_objs.clear()
@@ -373,10 +299,6 @@ class ThreadExec:
             else:
                 yield from release_all(self.world.lock_manager, self.tid)
             self.instance = None
-            if runtime is not None:
-                # the section's writes are final (even under a lost
-                # release: the leaked locks are reclaimed, not rolled back)
-                runtime.section_committed(self.tid)
             if self._section_token is not None:
                 get_tracer().end_section(self._section_token,
                                          outcome="committed")

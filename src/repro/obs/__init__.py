@@ -10,7 +10,7 @@ Three pieces, all stdlib-only:
   of counter/gauge/histogram families backing the engine, scheduler and
   lock-manager statistics, with registered cross-counter invariants;
 * :mod:`repro.obs.events` — envelope v1, the one JSONL schema every event
-  stream (executor, resilience, chaos, tracer) validates against, plus
+  stream (executor, serve, tracer, inference) validates against, plus
   :mod:`repro.obs.export` turning a stream into a Chrome/Perfetto trace or
   a text flame summary (``python -m repro trace``).
 

@@ -1,8 +1,8 @@
 """Versioned event envelope v1: one schema for every JSONL stream.
 
-Every record the repo emits — executor lifecycle, resilience runtime,
-chaos harness, tracer spans — is a flat JSON object carrying the same
-envelope fields:
+Every record the repo emits — executor lifecycle, server requests,
+tracer spans, analysis checkpoints — is a flat JSON object carrying the
+same envelope fields:
 
 * ``v``      — schema version (``SCHEMA_VERSION``);
 * ``event``  — the kind, one of :data:`EVENT_KINDS`;
@@ -12,8 +12,8 @@ envelope fields:
 plus the kind's payload fields, *flat* alongside the envelope (that keeps
 v1 a strict superset of the pre-envelope formats: old consumers that read
 ``record["event"]`` / ``record["ticks"]`` keep working unchanged).  Extra
-fields beyond a kind's required set are allowed — the chaos harness tags
-``program``/``fault``/``seed`` context onto resilience events.
+fields beyond a kind's required set are allowed, so a producer may tag
+context onto its records.
 
 Nothing in the repo writes or reads any other version: a record whose
 ``v`` is not ``SCHEMA_VERSION`` is rejected where it is loaded
@@ -43,7 +43,6 @@ _NUM = (int, float)
 _STR = (str,)
 _INT = (int,)
 _BOOL = (bool,)
-_LIST = (list,)
 _DICT = (dict,)
 
 
@@ -68,8 +67,8 @@ def _kinds(source: str, table: Dict[str, Dict[str, tuple]]):
 
 
 # Required payload fields per kind.  Validation is *open*: extra fields are
-# always allowed, so context tagging (chaos) and future additions don't
-# break old validators.  ``ticks`` in cell-finish/cache-hit may be null for
+# always allowed, so context tagging and future additions don't break old
+# validators.  ``ticks`` in cell-finish/cache-hit may be null for
 # non-simulation results, hence no type pin there.
 EVENT_KINDS: Dict[str, EventKind] = {}
 EVENT_KINDS.update(_kinds("executor", {
@@ -84,22 +83,6 @@ EVENT_KINDS.update(_kinds("executor", {
                   "threads": _INT, "key": _STR},
     "sweep-end": {"cells": _INT, "ok": _INT, "errors": _INT,
                   "cached": _INT, "duration_s": _NUM},
-}))
-EVENT_KINDS.update(_kinds("resilience", {
-    "degrade-global": {"tick": _INT},
-    "degrade-section": {"tick": _INT, "section": _STR},
-    "restore-section": {"tick": _INT, "section": _STR},
-    "restore-global": {"tick": _INT},
-    "recovered": {"tick": _INT, "tid": _INT, "section": _STR},
-    "rollback": {"tick": _INT, "tid": _INT, "section": _STR},
-    "retry": {"tick": _INT, "tid": _INT, "section": _STR, "attempts": _INT},
-    "deadlock-detected": {"tick": _INT, "cycle": _LIST},
-    "lock-reclaim": {"tick": _INT, "tid": _INT, "nodes": _INT},
-    "lease-expired": {"tick": _INT, "tid": _INT},
-    "probe": {"tick": _INT, "section": _STR, "tid": _INT},
-}))
-EVENT_KINDS.update(_kinds("chaos", {
-    "canary": {"program": _STR},
 }))
 EVENT_KINDS.update(_kinds("serve", {
     "serve-start": {"socket": _STR, "max_inflight": _INT,

@@ -190,16 +190,6 @@ class Tracer:
             attrs=_jsonable(attrs),
         ))
 
-    def tick_instant(self, track: int, name: str, cat: str = "sim",
-                     **attrs: object) -> None:
-        if not self.enabled:
-            return
-        self._record(envelope(
-            "instant", name=name, cat=cat, clock="ticks",
-            at=self.now_ticks, track=track, proc=os.getpid(),
-            attrs=_jsonable(attrs),
-        ))
-
     def sample(self, name: str, values: Dict[str, object],
                clock: str = "ticks", track: int = 0,
                at: Optional[float] = None) -> None:
@@ -214,7 +204,7 @@ class Tracer:
         ))
 
     def event(self, record: Dict[str, object]) -> None:
-        """Adopt an already-built envelope record (e.g. resilience events)."""
+        """Adopt an already-built envelope record (e.g. a checkpoint)."""
         if not self.enabled:
             return
         self._record(record)

@@ -1,24 +1,13 @@
-"""Multi-granularity lock runtime (paper §5), fault injection, and the
-resilience layer (watchdog, abort-and-rollback, graceful degradation)."""
+"""Multi-granularity lock runtime (paper §5) and fault injection."""
 
 from .api import ThreadLockState, acquire_all, plan_requests, release_all
 from .faults import (
     ACQUIRE_FAULT_KINDS,
     FAULT_KINDS,
     RELEASE_FAULT_KINDS,
-    STALL_FAULT_KINDS,
     FaultInjector,
 )
 from .manager import LockManager, LockNode, LockStats, ROOT, canonical_order
-from .resilience import (
-    ResilienceConfig,
-    ResilienceRuntime,
-    ResilienceStats,
-    SectionAbort,
-    VICTIM_POLICY_NAMES,
-    VictimPolicy,
-    make_victim_policy,
-)
 from .modes import (
     IS,
     IX,
@@ -39,14 +28,6 @@ __all__ = [
     "FAULT_KINDS",
     "ACQUIRE_FAULT_KINDS",
     "RELEASE_FAULT_KINDS",
-    "STALL_FAULT_KINDS",
-    "ResilienceConfig",
-    "ResilienceRuntime",
-    "ResilienceStats",
-    "SectionAbort",
-    "VictimPolicy",
-    "VICTIM_POLICY_NAMES",
-    "make_victim_policy",
     "LockManager",
     "LockNode",
     "LockStats",

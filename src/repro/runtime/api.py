@@ -3,9 +3,11 @@
 ``plan_requests`` expands a section's lock descriptors into per-node mode
 requests on the lock tree (evaluating fine-grain descriptors' expressions in
 the acquiring thread's frame), combines modes per node, and returns them in
-the canonical deadlock-free order. ``AcquireSession`` then drives the
-protocol as a simulator coroutine: one work tick per node plus a TRY event
-that blocks until the node grants (re-polled when the node changes).
+the canonical deadlock-free order. ``acquire_all`` then drives the
+protocol as a simulator coroutine: one work tick per node plus a TRY event,
+gated on the node, that blocks until the node grants. Nothing here
+recovers from a broken order: a plan taken out of canonical order can
+interlock, and the scheduler reports that as a ``DeadlockError``.
 
 Nesting (§5.3): each thread keeps an ``nlevel`` counter; only the outermost
 acquire/release pair touches the lock manager.
@@ -20,7 +22,6 @@ from ..obs.trace import get_tracer
 from ..sim.scheduler import TRY
 from .manager import LockManager, ROOT, canonical_order
 from .modes import combine, intention_for_effect, mode_for_effect
-from .resilience import SectionAbort
 
 
 class ThreadLockState:
@@ -72,43 +73,21 @@ def plan_requests(
 
 def acquire_all(manager: LockManager, tid: int,
                 ordered_requests: List[Tuple[object, str]],
-                runtime=None, section_id: Optional[str] = None):
+                section_id: Optional[str] = None):
     """Simulator coroutine acquiring the planned requests top-down in order.
 
-    With a :class:`~repro.runtime.resilience.ResilienceRuntime` attached,
-    every lock wait doubles as an abort point: the watchdog flags the
-    thread, the wait predicate reports success so the scheduler unblocks
-    it, and the coroutine raises
-    :class:`~repro.runtime.resilience.SectionAbort` into the section's
-    retry loop instead of taking the node.
-
-    The plain wait is a *gated* TRY event: its grant decision depends on
-    the node alone, so the node rides along and the scheduler re-polls
-    only when ``node.version`` has moved. The resilient wait also reads
-    the abort flag, which no node version witnesses, so it stays an
-    opaque predicate polled every tick.
-    """
+    A wait is a *gated* TRY event: its grant decision depends on the node
+    alone, so the node rides along and the scheduler re-polls only when
+    ``node.version`` has moved."""
     tracer = get_tracer()
     manager.stats.acquires += 1
     for name, mode in ordered_requests:
         yield 1  # protocol work per node (the multi-grain overhead)
-        if runtime is not None and runtime.abort_pending(tid):
-            raise SectionAbort(runtime.abort_reason(tid))
-        acquired = manager.try_acquire_node(tid, name, mode)
-        if not acquired:
+        if not manager.try_acquire_node(tid, name, mode):
             wait_from = tracer.now_ticks if tracer.enabled else 0
-            if runtime is None:
-                yield (TRY, lambda name=name, mode=mode:
-                       manager.try_acquire_node(tid, name, mode),
-                       manager.node(name))
-            else:
-                # abort check first: after a watchdog revocation the
-                # victim must not re-enter the grant queue
-                yield (TRY, lambda name=name, mode=mode:
-                       runtime.abort_pending(tid)
-                       or manager.try_acquire_node(tid, name, mode))
-                if runtime.abort_pending(tid):
-                    raise SectionAbort(runtime.abort_reason(tid))
+            yield (TRY, lambda name=name, mode=mode:
+                   manager.try_acquire_node(tid, name, mode),
+                   manager.node(name))
             if tracer.enabled:
                 tracer.tick_span(tid, "blocked", wait_from, tracer.now_ticks,
                                  node=str(name), mode=mode,

@@ -24,30 +24,28 @@ an ``acquireAll``):
   checker on the first write.
 * ``invert-order``  — reverse the canonical acquisition order, violating
   the deadlock-freedom protocol. Protection is intact (the same locks
-  are taken), but a thread acquiring against the flow deadlocks with
-  canonical acquirers; the resilience watchdog must victimize someone
-  (or, without recovery, the scheduler's DeadlockError canary fires).
+  are taken), but a thread acquiring against the flow can interlock with
+  canonical acquirers: the scheduler's DeadlockError canary must fire.
   Seed it on one thread (``tid=0``) — if *every* thread inverts, the
   inverted order is itself a consistent total order and stays safe.
 
-Stall-shaped (release-time) kinds, the ``repro chaos`` workload:
+Release-time kinds keep the plan intact and break the release instead:
 
 * ``delayed-release`` — the thread stalls ``delay`` ticks *while holding
-  its locks* before releasing: a stuck critical section. The watchdog's
-  lease timeout must abort it (rollback + revoke), or without recovery
-  the LivelockError canary fires.
+  its locks* before releasing: a stuck critical section. Every other
+  acquirer waits out a window with no grant and no completion, so the
+  scheduler's LivelockError canary must fire.
 * ``lost-release``   — the release never reaches the lock manager: the
-  section commits but its locks leak forever. The watchdog reclaims
-  them (safe — the section completed); without recovery every later
-  acquirer blocks and the DeadlockError canary fires.
+  section commits but its locks leak forever. Every later acquirer
+  blocks, so the scheduler's DeadlockError canary must fire.
 
 The injector is armed once per matching dynamic ``acquireAll`` (retries of
 the same acquisition reuse the armed decision, keeping the
 validate-and-retry loop consistent), and records every firing so tests
 can assert the fault was actually exercised. Occurrences are counted per
 ``(section, tid)`` stream — never globally — so *which* thread draws the
-fault is a property of the seeding, not of the schedule, and chaos runs
-replay exactly under seeded policies.
+fault is a property of the seeding, not of the schedule, and a seeded
+run replays exactly.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from .modes import IS, IX, S, SIX, X
 ACQUIRE_FAULT_KINDS = ("drop-acquire", "drop-node", "weaken-acquire",
                        "invert-order")
 RELEASE_FAULT_KINDS = ("delayed-release", "lost-release")
-STALL_FAULT_KINDS = ("delayed-release", "lost-release", "invert-order")
 FAULT_KINDS = ACQUIRE_FAULT_KINDS + RELEASE_FAULT_KINDS
 
 _WEAKEN = {X: S, SIX: S, IX: IS}
@@ -92,7 +89,7 @@ class FaultInjector:
         self.delay = delay
         # n-th-occurrence counters, one stream per (section, tid): a shared
         # counter would let the schedule decide which thread draws the
-        # fault, making chaos runs irreproducible under seeded policies
+        # fault, making seeded runs irreproducible
         self._seen: Dict[Tuple[str, int], int] = {}
         self._release_armed: Dict[int, bool] = {}
         self.fired: List[Tuple[int, str]] = []  # (tid, section_id) firings

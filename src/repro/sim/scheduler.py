@@ -14,9 +14,9 @@ Threads are generators. Each value they yield is an *event*:
   remembers the version it saw at each failed attempt and re-runs ``fn()``
   only on ticks where it differs — a wait that wakes on change, not on
   tick. ``fn`` must be idempotent when it fails on unchanged state (a
-  refused ``LockNode.try_acquire`` is). The lock runtime's plain waits are
-  gated on the lock node; an opaque two-element predicate (the resilient
-  wait, which also reads an abort flag) is polled every tick.
+  refused ``LockNode.try_acquire`` is). The lock runtime's waits are
+  gated on the lock node; the two-element form is for predicates no single
+  object witnesses.
 
 On each tick, up to ``ncores`` runnable threads advance by one work unit, in
 round-robin order (rotating the start index for fairness). Blocked threads
@@ -47,7 +47,7 @@ rotating round-robin schedule exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
@@ -182,16 +182,11 @@ class SimThread:
 class Scheduler:
     def __init__(self, ncores: int = 8, max_ticks: int = 100_000_000,
                  policy: Optional[SchedulingPolicy] = None,
-                 livelock_window: Optional[int] = 50_000,
-                 watchdog: Optional[Callable[["Scheduler"], None]] = None) -> None:
+                 livelock_window: Optional[int] = 50_000) -> None:
         self.ncores = ncores
         self.max_ticks = max_ticks
         self.policy = policy if policy is not None else RoundRobinPolicy()
         self.livelock_window = livelock_window
-        # per-tick hook (the resilience runtime's deadlock/lease watchdog);
-        # called again right before a DeadlockError would be raised, so it
-        # can break the cycle by aborting a victim
-        self.watchdog = watchdog
         self.threads: List[SimThread] = []
         self.metrics = MetricsRegistry()
         self.stats = SimStats(ncores=ncores)
@@ -311,8 +306,6 @@ class Scheduler:
                 )
             if stats.ticks % CHECK_EVERY_TICKS == 0:
                 check_deadline()
-            if self.watchdog is not None:
-                self.watchdog(self)
             # 1. wake blocked threads whose predicates now succeed (FIFO);
             # a gated predicate is re-run only if its gate has moved
             blocked = self._blocked
@@ -336,18 +329,6 @@ class Scheduler:
                     # the wake pass ran the last threads to completion
                     return stats
                 # every live thread is in the (compacted) blocked FIFO
-                if self.watchdog is not None:
-                    # emergency scan: the watchdog may abort a victim,
-                    # whose wait predicate then reports success (the
-                    # abort flag) and unblocks it into its retry loop;
-                    # rare, so every predicate is re-run, gated or not
-                    self.watchdog(self)
-                    for thread in self._blocked:
-                        self._retry(thread)
-                    if any(t.state == "runnable" for t in self._live):
-                        self._compact()
-                        self._stall = 0
-                        continue
                 raise DeadlockError(
                     "all threads blocked: "
                     + ", ".join(repr(t) for t in self._blocked)
@@ -402,13 +383,10 @@ class Scheduler:
 
 def run_threads(generators: List[Generator], ncores: int = 8,
                 policy: Optional[SchedulingPolicy] = None,
-                livelock_window: Optional[int] = 50_000,
-                watchdog: Optional[Callable[["Scheduler"], None]] = None,
-                ) -> SimStats:
+                livelock_window: Optional[int] = 50_000) -> SimStats:
     """Convenience: run *generators* to completion; return the statistics."""
     scheduler = Scheduler(ncores=ncores, policy=policy,
-                          livelock_window=livelock_window,
-                          watchdog=watchdog)
+                          livelock_window=livelock_window)
     for gen in generators:
         scheduler.spawn(gen)
     return scheduler.run()

@@ -22,18 +22,11 @@ from typing import Dict, Iterable, List
 
 from repro import infer_locks, transform_with_inference
 from repro.bench.configs import ALL_BENCHMARKS, CONFIGS
-from repro.bench.harness import build_world, build_world_for_source, run_seq
-from repro.explore.chaos import (
-    CHAOS_LEASE_TICKS,
-    CHAOS_LIVELOCK_WINDOW,
-    make_chaos_injector,
-)
+from repro.bench.harness import build_world, run_seq
 from repro.explore.diff import heap_fingerprint
-from repro.explore.runner import resolve_target
 from repro.interp import RaceDetector, ThreadExec, World
 from repro.memory import Loc
-from repro.runtime.resilience import ResilienceConfig
-from repro.sim import Scheduler, make_policy
+from repro.sim import Scheduler
 
 FIXTURE = Path(__file__).parent / "fixtures" / "interp_golden.json"
 
@@ -72,8 +65,6 @@ def run_case(world: World, mode: str, schedules: Iterable[List],
         "checked": world.checker.checked if world.checker else 0,
         "heap": heap_fingerprint(world),
     }
-    if world.resilience is not None:
-        case["resilience"] = world.resilience.stats.to_dict()
     if world.race is not None:
         case["races"] = len(world.race.races)
     if world.auditor is not None:
@@ -93,21 +84,6 @@ def run_benchmark_case(spec, config, setting) -> Dict[str, object]:
     world, mode = build_world(spec, config, check=True)
     schedules = spec.schedule(setting, THREADS, N_OPS, seed=SEED)
     return run_case(world, mode, schedules, Scheduler(ncores=NCORES))
-
-
-def run_chaos_case() -> Dict[str, object]:
-    """A delayed release outlives the lease: the watchdog revokes the
-    holder, which rolls back and retries its section."""
-    target = resolve_target("counter")
-    world, mode = build_world_for_source(
-        target.source, "fine+coarse", audit=True, race=RaceDetector(),
-        faults=make_chaos_injector("delayed-release"), setup=target.setup,
-        resilience=ResilienceConfig(lease_ticks=CHAOS_LEASE_TICKS,
-                                    jitter_seed=1))
-    scheduler = Scheduler(ncores=2, policy=make_policy("random", seed=1),
-                          livelock_window=CHAOS_LIVELOCK_WINDOW,
-                          watchdog=world.watchdog)
-    return run_case(world, mode, target.schedule(3, 2), scheduler)
 
 
 def run_audited_case() -> Dict[str, object]:
@@ -135,7 +111,6 @@ def run_nested_case() -> Dict[str, object]:
 
 
 SCENARIOS = {
-    "chaos/delayed-release": run_chaos_case,
     "audited/hashtable-high": run_audited_case,
     "nested/transfer": run_nested_case,
 }

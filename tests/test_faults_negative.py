@@ -81,7 +81,7 @@ def test_weaken_acquire_downgrades_modes():
 
 # -- ProtectionChecker catches every protection-weakening kind, at every k ---
 # (invert-order and the release kinds keep protection intact; their canaries
-# are DeadlockError / LivelockError, exercised by the chaos tests)
+# are DeadlockError / LivelockError, see the stall canaries below)
 
 PROTECTION_FAULT_KINDS = ("drop-acquire", "drop-node", "weaken-acquire")
 
@@ -135,6 +135,37 @@ def test_auditor_catches_nonserializable_schedule(k):
         if any("non-serializable" in v for v in record.violations):
             caught += 1
     assert caught > 0, f"auditor caught nothing at k={k}"
+
+
+# -- stall canaries: order and release faults end in deadlock / livelock ------
+# Nothing recovers from these faults, so each must surface as the
+# scheduler's own error. The schedule counts are what each canary needs:
+# an inverted order interlocks only when the inverted acquirer meets a
+# canonical one mid-plan (pct reaches that on its ninth seed), a leaked
+# lock blocks every later acquirer, and a delayed release (60 000 ticks)
+# outlasts the 50 000-tick livelock window on any schedule.
+
+STALL_CANARIES = {
+    "invert-order": ("twocounter", "deadlock:", 12),
+    "lost-release": ("counter", "deadlock:", 2),
+    "delayed-release": ("counter", "livelock:", 2),
+}
+
+
+@pytest.mark.parametrize("k", (0, 9))
+@pytest.mark.parametrize("policy", ("random", "pct"))
+@pytest.mark.parametrize("kind", sorted(STALL_CANARIES))
+def test_stall_fault_trips_its_canary(kind, policy, k):
+    program, canary, schedules = STALL_CANARIES[kind]
+    report = explore_program(
+        program, policy=policy, seed=0, schedules=schedules, threads=3,
+        ops=2, fault=kind, k=k,
+    )
+    violations = [v for r in report.records for v in r.violations]
+    assert any(v.startswith(canary) for v in violations), \
+        f"{kind} never tripped {canary} under {policy} at k={k}"
+    # protection stays intact: the canary is the only report
+    assert all(v.startswith(canary) for v in violations), violations
 
 
 # -- the CLI-level canary -----------------------------------------------------

@@ -15,8 +15,7 @@ from repro.bench.configs import ALL_BENCHMARKS
 from repro.bench.harness import build_world, run_seq
 from repro.inference import infer_locks, transform_with_inference
 from repro.interp import InterpError, ThreadExec, World
-from repro.lang import ir, lower_program, parse_program
-from repro.runtime.resilience import ResilienceConfig
+from repro.lang import lower_program, parse_program
 from repro.sim import Scheduler
 from repro.stm.tl2 import TL2Tx
 from tests.test_soundness_property import build_program
@@ -133,17 +132,6 @@ def test_interp_error_message_and_point(name):
     world = World(lower_program(parse_program(source)))
     gen = ThreadExec(world, 0, mode=mode).call("main", [])
     assert ticks_until_error(gen) == (ticks, message)
-
-
-def test_unmatched_acquire_all_in_a_resilient_world():
-    program = lower_program(parse_program(
-        "int g;\nvoid main() { g = 2; g = 3; }"))
-    program.functions["main"].body.insert(1, ir.IAcquireAll("main#1", ()))
-    world = World(program, resilience=ResilienceConfig())
-    gen = ThreadExec(world, 0, mode="locks").call("main", [])
-    assert ticks_until_error(gen) == (
-        1, "unmatched acquireAll at instruction 1: no releaseAll in the "
-           "same block")
 
 
 @pytest.mark.parametrize("args", [(), (1, 2)])

@@ -1,8 +1,8 @@
 """The compiled interpreter replays the event streams the tree-walker
 produced (``tests/fixtures/interp_golden.json``, taken on the parent
 commit): per-thread event digests, simulated totals, checked accesses
-and the final heap, for every benchmark × configuration × setting plus a
-rollback-and-retry, an audited and a nested-section scenario."""
+and the final heap, for every benchmark × configuration × setting plus an
+audited and a nested-section scenario."""
 
 import json
 

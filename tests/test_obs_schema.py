@@ -26,8 +26,6 @@ from repro.obs.events import (
     validate_event,
 )
 from repro.obs.export import load_events
-from repro.runtime.manager import LockManager
-from repro.runtime.resilience import ResilienceConfig, ResilienceRuntime
 
 SRC_ROOT = os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -78,17 +76,27 @@ def test_every_required_field_is_required(kind):
 
 
 def test_validation_is_open_to_extra_fields():
-    record = _sample_record("rollback")
+    record = _sample_record("cell-finish")
     record.update(program="counter", fault="lost-release", seed=3)
-    validate_event(record)  # chaos context tagging must stay legal
+    validate_event(record)  # context tagging must stay legal
+
+
+@pytest.mark.parametrize("kind", ["rollback", "lease-expired", "canary"])
+def test_a_removed_kind_is_unknown(kind):
+    """The runtime-recovery kinds are gone from v1: a log that still
+    carries one fails closed, like any other unknown kind."""
+    record = {"v": SCHEMA_VERSION, "event": kind, "source": "resilience",
+              "ts": 0.0, "tick": 1, "tid": 0, "section": "s#1"}
+    with pytest.raises(SchemaError, match=f"unknown event kind '{kind}'"):
+        validate_event(record)
 
 
 def test_wrong_source_and_version_rejected():
-    record = dict(_sample_record("canary"))
+    record = dict(_sample_record("checkpoint"))
     record["source"] = "executor"
     with pytest.raises(SchemaError):
         validate_event(record)
-    record = dict(_sample_record("canary"))
+    record = dict(_sample_record("checkpoint"))
     record["v"] = 99
     with pytest.raises(SchemaError):
         validate_event(record)
@@ -100,14 +108,14 @@ def test_load_events_rejects_other_versions(tmp_path):
     """No pre-v1 stream exists any more: a line that is not a v1 record is
     an error naming the line, not something to upgrade."""
     path = tmp_path / "events.jsonl"
-    good = json.dumps(_sample_record("canary"))
-    legacy = json.dumps({"event": "rollback", "tick": 7, "tid": 1,
-                         "section": "s#1"})
+    good = json.dumps(_sample_record("checkpoint"))
+    legacy = json.dumps({"event": "checkpoint", "level": 0, "bundles": 1})
     path.write_text(f"{good}\n\n{legacy}\n")
     with pytest.raises(SchemaError, match=r"events\.jsonl:3: schema "
                                           r"version None, expected 1"):
         load_events(str(path))
-    path.write_text(json.dumps(dict(_sample_record("canary"), v=2)) + "\n")
+    path.write_text(json.dumps(dict(_sample_record("checkpoint"), v=2))
+                    + "\n")
     with pytest.raises(SchemaError, match=r":1: schema version 2"):
         load_events(str(path))
     path.write_text(f"{good}\n{{truncated\n")
@@ -115,7 +123,7 @@ def test_load_events_rejects_other_versions(tmp_path):
         load_events(str(path))
     path.write_text(f"{good}\n")
     assert [e["event"] for e in load_events(str(path), validate=True)] == [
-        "canary"]
+        "checkpoint"]
 
 
 # regex over the source tree: a kind literal at an emit call site
@@ -143,8 +151,8 @@ def test_every_emit_site_uses_a_registered_kind():
                if kind not in EVENT_KINDS}
     assert not unknown, f"emit sites with unregistered kinds: {unknown}"
     # the grep must actually be finding the real emitters
-    for expected in ("sweep-start", "cell-finish", "rollback",
-                     "degrade-global", "canary", "span", "metrics"):
+    for expected in ("sweep-start", "cell-finish", "checkpoint",
+                     "budget-exhausted", "span", "metrics"):
         assert expected in found, f"emit-site grep lost {expected}"
 
 
@@ -164,13 +172,3 @@ def test_executor_stream_is_valid_v1(tmp_path):
         validate_event(record)
         kinds.append(record["event"])
     assert kinds[0] == "sweep-start" and kinds[-1] == "sweep-end"
-
-
-def test_resilience_stream_is_valid_v1():
-    runtime = ResilienceRuntime(ResilienceConfig(start_degraded=True),
-                                LockManager())
-    assert runtime.events, "start-degraded must emit degrade-global"
-    for record in runtime.events:
-        validate_event(record)
-    assert runtime.events[0]["event"] == "degrade-global"
-    assert runtime.events[0]["v"] == SCHEMA_VERSION

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.sim import DeadlockError, Scheduler
+from repro.sim.deadline import (
+    DeadlineExceeded,
+    check_deadline,
+    clear_deadline,
+    set_deadline,
+)
 from repro.sim.scheduler import TRY, WORK, run_threads
 
 
@@ -249,3 +255,14 @@ def test_round_robin_fairness():
     stats = run_threads([work(100) for _ in range(3)], ncores=2)
     works = list(stats.per_thread_work.values())
     assert max(works) - min(works) == 0  # all finish with equal work
+
+
+def test_deadline_set_check_clear():
+    """The cooperative deadline the scheduler polls every few ticks."""
+    set_deadline(3600.0)
+    check_deadline()  # far in the future: no raise
+    set_deadline(-1.0)
+    with pytest.raises(DeadlineExceeded):
+        check_deadline()
+    clear_deadline()
+    check_deadline()  # disarmed

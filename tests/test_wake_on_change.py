@@ -29,16 +29,10 @@ from hypothesis import strategies as st
 
 from repro.bench.configs import ALL_BENCHMARKS
 from repro.bench.harness import build_world
-from repro.explore.chaos import (
-    CHAOS_LEASE_TICKS,
-    CHAOS_LIVELOCK_WINDOW,
-    make_chaos_injector,
-)
 from repro.explore.diff import heap_fingerprint
 from repro.explore.runner import resolve_target, run_schedule
 from repro.interp import ThreadExec
-from repro.runtime import MODES, LockNode
-from repro.runtime.resilience import ResilienceConfig
+from repro.runtime import MODES, FaultInjector, LockNode
 from repro.sim import DeadlockError, Scheduler, make_policy
 from repro.sim.scheduler import TRY, WORK, LivelockError, SimStats, SimThread
 
@@ -123,12 +117,19 @@ def test_table2_lock_configs_identical_to_polling(policy_name, seed):
 
 
 # ---------------------------------------------------------------------------
-# a `repro chaos` scenario: watchdog on, then the no-recovery canary
+# a stall-fault scenario: a planted fault, nothing recovering from it
 # ---------------------------------------------------------------------------
 
 
-def run_chaos(monkeypatch, fault, program, policy_name, seed, recover,
-              gated):
+def run_chaos(monkeypatch, fault, program, policy_name, seed, gated):
+    # a release fault fires on the first run of each section by each
+    # thread (a 12 000-tick stall outlasts the 8 000-tick livelock
+    # window); an inverted order on thread 0 only, since an order every
+    # thread inverts is itself a consistent total order
+    if fault == "invert-order":
+        injector = FaultInjector(fault, tid=0)
+    else:
+        injector = FaultInjector(fault, occurrence=0, delay=12_000)
     schedulers = []
     spawn = Scheduler.spawn
 
@@ -136,53 +137,42 @@ def run_chaos(monkeypatch, fault, program, policy_name, seed, recover,
         schedulers.append(self)
         return spawn(self, gen if gated else poll_every_tick(gen))
 
-    resilience = ResilienceConfig(
-        lease_ticks=CHAOS_LEASE_TICKS, jitter_seed=seed) if recover else None
     with monkeypatch.context() as patched:
         patched.setattr(Scheduler, "spawn", recording_spawn)
         record, world = run_schedule(
             resolve_target(program), "fine+coarse",
             make_policy(policy_name, seed=seed), threads=3, ops=2, seed=seed,
-            injector=make_chaos_injector(fault), resilience=resilience,
-            livelock_window=CHAOS_LIVELOCK_WINDOW)
-    runtime = world.resilience
+            injector=injector, livelock_window=8_000)
     return {
         "sim": schedulers[0].stats,
         "record": (record.ticks, record.trace_class, record.violations,
                    record.races, record.lockset_warnings),
         "locks": (world.lock_manager.stats.acquires,
                   world.lock_manager.stats.node_acquires),
-        "resilience": runtime.stats.to_dict() if runtime else None,
-        # minus the envelope's wall-clock stamp
-        "events": [{k: v for k, v in event.items() if k != "ts"}
-                   for event in runtime.events] if runtime else None,
         "heap": heap_fingerprint(world),
     }
 
 
 @pytest.mark.parametrize("fault,program", [
-    ("invert-order", "twocounter"),  # waits-for cycle → emergency scan
-    ("lost-release", "counter"),  # leaked locks → watchdog reclaim
+    ("invert-order", "twocounter"),  # an interlock on some schedules
+    ("lost-release", "counter"),  # leaked locks block every later acquirer
 ])
 @pytest.mark.parametrize("policy_name", ["random", "pct"])
 def test_chaos_scenario_identical_to_polling(monkeypatch, fault, program,
                                              policy_name):
     for seed in range(3):
-        for recover in (True, False):
-            gated = run_chaos(monkeypatch, fault, program, policy_name, seed,
-                              recover, gated=True)
-            polled = run_chaos(monkeypatch, fault, program, policy_name,
-                               seed, recover, gated=False)
-            assert gated == polled, (seed, recover)
-            if recover:
-                assert not gated["record"][2]  # the watchdog recovered it
+        gated = run_chaos(monkeypatch, fault, program, policy_name, seed,
+                          gated=True)
+        polled = run_chaos(monkeypatch, fault, program, policy_name, seed,
+                           gated=False)
+        assert gated == polled, seed
 
 
 def test_chaos_canary_still_fires_through_the_gate(monkeypatch):
-    """Recovery off, the plain (gated) wait path: a leaked lock must still
-    end in the scheduler's DeadlockError canary, not in a silent hang."""
+    """The gated wait path: a leaked lock must end in the scheduler's
+    DeadlockError canary, not in a silent hang."""
     seen = run_chaos(monkeypatch, "lost-release", "counter", "random", 0,
-                     recover=False, gated=True)
+                     gated=True)
     assert any(v.startswith("deadlock:") for v in seen["record"][2])
 
 
@@ -195,7 +185,7 @@ def poll_and_rebuild(generators, ncores, policy, livelock_window, stats):
     """The specification the scheduler's bookkeeping is checked against:
     every list rebuilt from thread states each tick, the FIFO sorted by a
     blocking counter, every blocked predicate re-run, gates ignored. No
-    watchdog, tracer or deadline."""
+    tracer or deadline."""
     threads = [SimThread(tid, gen) for tid, gen in enumerate(generators)]
     for thread in threads:
         stats.per_thread_work[thread.tid] = 0
