@@ -35,7 +35,7 @@ from .budget import AnalysisBudget, BudgetExhausted
 from .engine import SectionLocks
 from .kernel import Engine
 from .libspec import SpecLibrary
-from .solver import STAT_NAMES, Checkpointer, SummarySolver
+from .solver import STAT_NAMES, Checkpointer
 
 
 @dataclass
@@ -402,7 +402,8 @@ class LockInference:
             with trace.timed("diskcache.open", "diskcache") as open_span:
                 disk = diskcache.open_cache(self.cache_dir, self.program,
                                             pointsto, self.k,
-                                            self.use_effects)
+                                            self.use_effects,
+                                            alias=self.alias)
             profile.cache_io_time += open_span.duration
         if self.budget is not None:
             self.budget.arm()
@@ -430,7 +431,7 @@ class LockInference:
                     raise
                 degraded_reason = (exc.reason if isinstance(
                     exc, BudgetExhausted) else "deadline")
-                self._degrade(result, cfgs, engine, degraded_reason)
+                self._degrade(result, cfgs, degraded_reason)
         result.dataflow_time = flow_span.duration
         if disk is not None:
             with trace.timed("diskcache.store-dirty",
@@ -460,10 +461,10 @@ class LockInference:
         profile.peak_bitset_popcount = engine.peak_bits
         profile.scc_count = len(engine.schedule.sccs)
         profile.level_count = len(engine.schedule.levels)
-        # the registry's cross-counter invariants (the transfer partition)
-        # are enforced at this collection point; python -O downgrades the
-        # failure to a returned report
-        engine.metrics.check_invariants()
+        # the kernel's transfer partition is checked at this collection
+        # point (an assert: inert under python -O)
+        if isinstance(engine, Engine):
+            engine.check_partition()
         profile.interned_terms = interning_stats()
         if degraded_reason is not None:
             profile.degraded_sections = len(result.degraded_sections)
@@ -471,7 +472,7 @@ class LockInference:
         return result
 
     def _degrade(self, result: InferenceResult, cfgs: Dict[str, CFG],
-                 engine: SummarySolver, reason: str) -> None:
+                 reason: str) -> None:
         """Finish a budget-exhausted run soundly: every section whose
         backward pass has not converged gets the lattice top ``[(⊤, X)]``
         — the global exclusive lock protects every access, so Theorem 1
@@ -487,10 +488,6 @@ class LockInference:
                         sid, func_name, fallback)
                     result.degraded_sections[sid] = reason
         degraded = len(result.degraded_sections)
-        gauge = engine.metrics.gauge(
-            "analysis_degraded_sections", labels=("reason",),
-            help="sections coarsened to the global lock this run")
-        gauge.labels(reason).set(degraded)
         tracer = trace.get_tracer()
         if tracer.enabled:
             tracer.event(envelope("budget-exhausted", reason=reason,

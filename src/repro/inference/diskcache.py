@@ -15,10 +15,10 @@ executor's result cells, which live under ``<root>/cells/``):
 The key discipline carries the soundness argument: a bundle/section hit
 requires the whole SCC cone to be byte-identical, so every value that went
 into the cached fixpoint is unchanged; the salt folds in the engine
-configuration (k, effects mode, cache schema version) and a whole-program
-*pointer fingerprint*, so any edit that renumbers Steensgaard equivalence
-classes — class ids appear inside cached coarse emissions and locks —
-conservatively invalidates everything.  An edit that keeps the pointer
+configuration (k, effects mode, alias oracle, cache schema version) and a
+whole-program *pointer fingerprint*, so any edit that renumbers Steensgaard
+equivalence classes — class ids appear inside cached coarse emissions and
+locks — conservatively invalidates everything.  An edit that keeps the pointer
 structure intact invalidates exactly the dirty SCC cone: the edited
 function's hash and its (transitive) callers' change, everything below
 stays warm.
@@ -75,7 +75,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..cfg import CallSchedule, build_schedule
 from ..lang import ir
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry
 
 # bump when the on-disk layout or the meaning of cached values changes
 # (front 2: AST/IR nodes became slotted classes pickled positionally)
@@ -192,11 +191,17 @@ def pointer_fingerprint(pointsto) -> str:
     return digest
 
 
-def analysis_salt(pointsto, k: int, use_effects: bool) -> str:
-    """The per-configuration component of every summary/section key."""
+def analysis_salt(pointsto, k: int, use_effects: bool,
+                  alias: str = "steensgaard") -> str:
+    """The per-configuration component of every summary/section key.
+
+    *alias* names the alias oracle (``LockInference(alias=...)``): an
+    Andersen run can split a Steensgaard class, so the two never share
+    summaries or section lock sets.
+    """
     return _sha(
         f"schema={CACHE_SCHEMA};k={k};effects={use_effects};"
-        f"pointer={pointer_fingerprint(pointsto)}"
+        f"alias={alias};pointer={pointer_fingerprint(pointsto)}"
     )
 
 
@@ -381,8 +386,7 @@ class AnalysisDiskCache:
         # the summary table file, read at most once per cache instance:
         # {func_name: (cone_hash, {summary_key: SummaryResult})}
         self._summ_table: Optional[Dict[str, Tuple[str, Dict]]] = None
-        self.metrics = MetricsRegistry()
-        self.stats = self.metrics.counter_bundle("diskcache", (
+        self.stats: Dict[str, int] = dict.fromkeys((
             "bundle_hits",
             "bundle_misses",
             "bundles_stored",
@@ -391,7 +395,7 @@ class AnalysisDiskCache:
             "sections_stored",
             "corrupt_entries",
             "lock_timeouts",
-        ), help="analysis disk-cache hit/miss/store counters")
+        ), 0)
 
     # -- keys ----------------------------------------------------------
 
@@ -556,8 +560,9 @@ class AnalysisDiskCache:
             pass
 
 
-def open_cache(root: str, program, pointsto, k: int,
-               use_effects: bool, schedule=None) -> AnalysisDiskCache:
+def open_cache(root: str, program, pointsto, k: int, use_effects: bool,
+               schedule=None,
+               alias: str = "steensgaard") -> AnalysisDiskCache:
     """Build the cache view for one analysis configuration."""
     if schedule is None:
         schedule = build_schedule(program)
@@ -569,7 +574,7 @@ def open_cache(root: str, program, pointsto, k: int,
     return AnalysisDiskCache(
         analysis_root,
         cone_hashes(program, schedule),
-        analysis_salt(pointsto, k, use_effects),
+        analysis_salt(pointsto, k, use_effects, alias),
         schedule,
     )
 

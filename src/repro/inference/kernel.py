@@ -116,23 +116,18 @@ class Engine(SummarySolver):
         # cfgs keep every node alive)
         self._kernels: Dict[Tuple[int, bool], _NodeKernel] = {}
         self.peak_bits = 0  # max popcount over any converged IN set
-        # the per-node path increments through the bundle's backing dict
-        # to skip MutableMapping dispatch
-        self._stats_raw = stats = self.stats.raw
-        # every executed transfer is exactly one call transfer, kernel
-        # mask hit, or kernel fallback — double accounting anywhere
-        # breaks this partition
-        self.metrics.add_invariant(
-            "transfer-partition",
-            lambda _reg: (stats["call_transfers"] + stats["mask_hits"]
-                          + stats["mask_fallbacks"]
-                          == stats["dataflow_steps"]),
-            lambda _reg: (
-                f"call_transfers {stats['call_transfers']} + mask_hits "
-                f"{stats['mask_hits']} + mask_fallbacks "
-                f"{stats['mask_fallbacks']} != dataflow_steps "
-                f"{stats['dataflow_steps']}"),
-        )
+
+    def check_partition(self) -> None:
+        """Every executed transfer is exactly one call transfer, kernel
+        mask hit, or kernel fallback: double accounting anywhere breaks
+        this partition."""
+        stats = self.stats
+        assert (stats["call_transfers"] + stats["mask_hits"]
+                + stats["mask_fallbacks"] == stats["dataflow_steps"]), (
+            f"call_transfers {stats['call_transfers']} + mask_hits "
+            f"{stats['mask_hits']} + mask_fallbacks "
+            f"{stats['mask_fallbacks']} != dataflow_steps "
+            f"{stats['dataflow_steps']}")
 
     @property
     def fact_terms(self) -> int:
@@ -190,10 +185,10 @@ class Engine(SummarySolver):
 
     def _transfer(self, func_name: str, node: Node, out_bits: int, run: Run,
                   with_g: bool) -> int:
-        raw = self._stats_raw
-        raw["dataflow_steps"] += 1
+        stats = self.stats
+        stats["dataflow_steps"] += 1
         if is_call(node):
-            raw["call_transfers"] += 1
+            stats["call_transfers"] += 1
             interner = self._interner
             return interner.encode(self.spec.call_transfer(
                 func_name, node.instr, interner.decode(out_bits), run,
@@ -207,7 +202,7 @@ class Engine(SummarySolver):
         kill = kern.kill
         if kill is None:
             # write-less node: every fact passes through untouched
-            raw["mask_hits"] += 1
+            stats["mask_hits"] += 1
             return out_bits | gen
         mask = kill.identity_mask
         rest = out_bits & ~mask
@@ -238,7 +233,7 @@ class Engine(SummarySolver):
                 eff = RO
             for cls in classes:
                 run.coarse.add((cls, eff))
-        raw["mask_fallbacks" if fresh else "mask_hits"] += 1
+        stats["mask_fallbacks" if fresh else "mask_hits"] += 1
         return result
 
     def _build_kernel(self, func_name: str, node: Node,

@@ -35,7 +35,6 @@ from ..lang import ir
 from ..locks.effects import RW
 from ..locks.paperlock import Lock, coarse_lock, fine_lock, global_lock, reduce_locks
 from ..obs.events import envelope
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer, timed
 from ..pointer.aliasing import AliasOracle
 from ..pointer.steensgaard import PointsTo
@@ -51,7 +50,7 @@ from .transfer import Emissions, TermSet, TransferSpec, is_call
 # with no deadline armed the poll is one thread-local read.
 DEADLINE_POLL_EVERY = 128
 
-# The solver counters, grouped in one registry-backed bundle.
+# The solver counters, the keys of ``SummarySolver.stats``.
 # ``dataflow_steps`` counts executed node transfers.  The kernel splits
 # them three ways — a call node (``call_transfers``), a statement node
 # served entirely by masks/memos (``mask_hits``), a statement node that
@@ -68,7 +67,7 @@ STAT_NAMES = (
     "sections_from_disk",
 )
 # Read only by benchmarks/perf/wl_analysis.py, which may not change in the
-# PR that deleted the call cache; they stay registered at 0 until a
+# PR that deleted the call cache; they stay in ``stats`` at 0 until a
 # benchmark PR drops its two call_cache metrics.
 _RETIRED_STAT_NAMES = ("transfer_cache_hits", "transfer_cache_stale")
 
@@ -205,13 +204,8 @@ class SummarySolver:
         self._schedule: Optional[CallSchedule] = None
         self.checkpointer: Optional[Checkpointer] = None
         self._tracer = get_tracer()
-        # solver counters live in a metrics registry; ``stats`` is the
-        # dict-shaped view the rest of the code mutates, so every increment
-        # lands in the registry
-        self.metrics = MetricsRegistry()
-        self.stats = self.metrics.counter_bundle(
-            "engine", STAT_NAMES + _RETIRED_STAT_NAMES,
-            help="lock-inference solver counters")
+        self.stats: Dict[str, int] = dict.fromkeys(
+            STAT_NAMES + _RETIRED_STAT_NAMES, 0)
 
     # ------------------------------------------------------------------
     # driver hooks

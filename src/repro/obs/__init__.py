@@ -1,4 +1,4 @@
-"""repro.obs — zero-dependency tracing, metrics, and the event envelope.
+"""repro.obs — zero-dependency tracing, histograms, and the event envelope.
 
 Three pieces, all stdlib-only:
 
@@ -6,9 +6,9 @@ Three pieces, all stdlib-only:
   emitting nested spans on the wall clock and the simulator tick clock;
   compiled to no-ops while disabled (the default; overhead is benchmarked
   in ``benchmarks/bench_obs.py``);
-* :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  of counter/gauge/histogram families backing the engine, scheduler and
-  lock-manager statistics, with registered cross-counter invariants;
+* :mod:`repro.obs.metrics` — the fixed-bucket
+  :class:`~repro.obs.metrics.Histogram` behind the server's per-kind
+  latency (every counter lives on the component that counts it);
 * :mod:`repro.obs.events` — envelope v1, the one JSONL schema every event
   stream (executor, serve, tracer, inference) validates against, plus
   :mod:`repro.obs.export` turning a stream into a Chrome/Perfetto trace or
@@ -23,8 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, globals(), {
     "events": ("EVENT_KINDS", "SCHEMA_VERSION", "EventWriter", "SchemaError",
                "envelope", "validate_event"),
     "export": ("load_events", "summarize", "to_chrome"),
-    "metrics": ("DEFAULT_BUCKETS", "Counter", "CounterBundle", "Gauge",
-                "Histogram", "InvariantError", "MetricsRegistry"),
+    "metrics": ("DEFAULT_BUCKETS", "Histogram"),
     "trace": ("Tracer", "configure", "get_tracer", "instant", "span",
               "timed"),
 })

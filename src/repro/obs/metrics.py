@@ -1,88 +1,17 @@
-"""Metrics registry: counters, gauges and histograms with labeled families.
+"""Fixed-bucket histograms: the server's per-kind request latency.
 
-The registry is deliberately storage-transparent: a family with exactly one
-label keeps its samples in a plain ``dict`` keyed by the label value, and a
-pre-existing dict can be *adopted* as that storage.  That lets the hot loops
-in the simulator keep doing ``per_thread_work[tid] += 1`` on what is, as far
-as they can tell, an ordinary dict — the registry only ever reads it when a
-snapshot is taken.  Scalar counters for a component are grouped into a
-:class:`CounterBundle`, a ``MutableMapping`` view the inference engine uses
-as its ``stats`` dict.
-
-Invariants over the collected values (e.g. the transfer partition
-``misses + stale + mask_hits + mask_fallbacks == dataflow_steps``) are
-registered on the registry and
-checked at collection points; violations raise :class:`InvariantError` under
-``__debug__`` and are reported as strings under ``python -O``.
+Counters are not here: each component keeps its own as plain attributes or
+dicts (``engine.stats``, ``disk.stats``, ``manager.stats``,
+``SimStats.per_thread_*``) that its readers use directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-
-__all__ = [
-    "MetricsRegistry",
-    "CounterBundle",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "InvariantError",
-    "DEFAULT_BUCKETS",
-]
+__all__ = ["DEFAULT_BUCKETS", "Histogram"]
 
 # Upper bounds of the default histogram buckets (seconds-flavoured, but any
 # unit works); a final +inf bucket is implicit.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0)
-
-_KINDS = ("counter", "gauge", "histogram")
-
-
-class InvariantError(AssertionError):
-    """A registered metrics invariant does not hold."""
-
-
-class Counter:
-    """Monotone scalar; one sample of a counter family."""
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values, key):
-        self._values = values
-        self._key = key
-        values.setdefault(key, 0)
-
-    def inc(self, amount=1):
-        if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
-        self._values[self._key] = self._values.get(self._key, 0) + amount
-
-    @property
-    def value(self):
-        return self._values.get(self._key, 0)
-
-
-class Gauge:
-    """Scalar that can go both ways; one sample of a gauge family."""
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, values, key):
-        self._values = values
-        self._key = key
-        values.setdefault(key, 0)
-
-    def set(self, value):
-        self._values[self._key] = value
-
-    def inc(self, amount=1):
-        self._values[self._key] = self._values.get(self._key, 0) + amount
-
-    def dec(self, amount=1):
-        self.inc(-amount)
-
-    @property
-    def value(self):
-        return self._values.get(self._key, 0)
 
 
 class Histogram:
@@ -174,204 +103,3 @@ class Histogram:
     def __repr__(self):
         return (f"Histogram(count={self.count}, total={self.total:.6g}, "
                 f"buckets={len(self.bounds) + 1})")
-
-
-class Family:
-    """A named group of samples distinguished by label values.
-
-    ``label_names`` with exactly one entry keys ``values`` directly by the
-    label value; more than one keys by tuple; zero uses the key ``None``
-    (a scalar family).
-    """
-
-    __slots__ = ("name", "kind", "label_names", "help", "values", "buckets")
-
-    def __init__(self, name, kind, label_names=(), help="",  # noqa: A002
-                 buckets=DEFAULT_BUCKETS, storage=None):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
-        self.name = name
-        self.kind = kind
-        self.label_names = tuple(label_names)
-        self.help = help
-        self.buckets = tuple(buckets)
-        self.values = {} if storage is None else storage
-
-    def _key(self, label_values):
-        if len(label_values) != len(self.label_names):
-            raise ValueError(
-                f"{self.name}: expected labels {self.label_names}, "
-                f"got {label_values!r}")
-        if not label_values:
-            return None
-        if len(label_values) == 1:
-            return label_values[0]
-        return tuple(label_values)
-
-    def labels(self, *label_values):
-        key = self._key(label_values)
-        if self.kind == "counter":
-            return Counter(self.values, key)
-        if self.kind == "gauge":
-            return Gauge(self.values, key)
-        hist = self.values.get(key)
-        if hist is None:
-            hist = self.values[key] = Histogram(self.buckets)
-        return hist
-
-    def data(self):
-        """Snapshot of the family's samples (histograms as dicts)."""
-        if self.kind == "histogram":
-            return {key: hist.to_dict() for key, hist in self.values.items()}
-        return dict(self.values)
-
-
-class CounterBundle(MutableMapping):
-    """Dict-shaped view over a group of scalar counters in one registry.
-
-    Supports exactly the operations the inference engine uses on its
-    ``stats`` dict (``bundle[name]``, ``bundle[name] += n``, iteration,
-    ``len``) while keeping the registry as the single source of truth.
-    Unknown counter names raise ``KeyError`` so typos can't silently mint
-    untracked counters.
-    """
-
-    __slots__ = ("_values", "_names")
-
-    def __init__(self, values, names):
-        self._values = values
-        self._names = tuple(names)
-        for name in self._names:
-            values.setdefault(name, 0)
-
-    def __getitem__(self, name):
-        return self._values[name]
-
-    def __setitem__(self, name, value):
-        if name not in self._values:
-            raise KeyError(f"unregistered counter {name!r}")
-        self._values[name] = value
-
-    def __delitem__(self, name):
-        raise TypeError("counters cannot be deleted from a bundle")
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __len__(self):
-        return len(self._names)
-
-    @property
-    def raw(self):
-        """The backing name-keyed dict, for hot-loop increments.
-
-        The registry reads the same dict at snapshot time, so
-        ``bundle.raw[name] += 1`` is observationally identical to
-        ``bundle[name] += 1`` minus the ``MutableMapping`` dispatch —
-        the inference engine's bitset kernel uses this on the per-node
-        path.  Callers must only touch names registered in the bundle.
-        """
-        return self._values
-
-    def __repr__(self):
-        return f"CounterBundle({dict(self)!r})"
-
-
-class MetricsRegistry:
-    """Process-local registry of metric families plus invariants."""
-
-    def __init__(self):
-        self._families = {}
-        self._invariants = []
-
-    # -- family constructors ------------------------------------------------
-
-    def _family(self, name, kind, labels, help, buckets=DEFAULT_BUCKETS,  # noqa: A002
-                storage=None):
-        existing = self._families.get(name)
-        if existing is not None:
-            if existing.kind != kind or existing.label_names != tuple(labels):
-                raise ValueError(
-                    f"metric {name!r} re-registered with a different shape")
-            return existing
-        family = Family(name, kind, labels, help, buckets, storage)
-        self._families[name] = family
-        return family
-
-    def counter(self, name, labels=(), help=""):  # noqa: A002
-        return self._family(name, "counter", labels, help)
-
-    def gauge(self, name, labels=(), help=""):  # noqa: A002
-        return self._family(name, "gauge", labels, help)
-
-    def histogram(self, name, labels=(), help="",  # noqa: A002
-                  buckets=DEFAULT_BUCKETS):
-        return self._family(name, "histogram", labels, help, buckets)
-
-    def adopt_counter_dict(self, name, values, label, help=""):  # noqa: A002
-        """Register an existing ``dict`` as a one-label counter family.
-
-        The caller keeps mutating ``values`` directly (zero overhead on the
-        hot path); the registry reads it only at snapshot time.
-        """
-        return self._family(name, "counter", (label,), help, storage=values)
-
-    def counter_bundle(self, group, names, help=""):  # noqa: A002
-        """Scalar counters ``group.<name>`` exposed as one mapping view."""
-        family = self._family(group, "counter", ("name",), help)
-        return CounterBundle(family.values, names)
-
-    # -- collection ---------------------------------------------------------
-
-    def families(self):
-        return list(self._families.values())
-
-    def snapshot(self):
-        """``{family name: {kind, labels, values}}`` with plain-data values."""
-        out = {}
-        for name, family in sorted(self._families.items()):
-            out[name] = {
-                "kind": family.kind,
-                "labels": list(family.label_names),
-                "values": {_label_key(k): v for k, v in family.data().items()},
-            }
-        return out
-
-    # -- invariants ---------------------------------------------------------
-
-    def add_invariant(self, name, predicate, describe=None):
-        """Register ``predicate(registry) -> bool`` checked at collection.
-
-        ``describe(registry) -> str`` renders the failure message.
-        """
-        self._invariants.append((name, predicate, describe))
-
-    def check_invariants(self, strict=None):
-        """Evaluate invariants; return failure messages.
-
-        ``strict`` defaults to ``__debug__``: violations raise
-        :class:`InvariantError` in a normal interpreter and downgrade to a
-        returned report under ``python -O``.
-        """
-        if strict is None:
-            strict = __debug__
-        failures = []
-        for name, predicate, describe in self._invariants:
-            if not predicate(self):
-                detail = describe(self) if describe else ""
-                message = f"metrics invariant {name!r} violated"
-                if detail:
-                    message += f": {detail}"
-                failures.append(message)
-        if failures and strict:
-            raise InvariantError("; ".join(failures))
-        return failures
-
-
-def _label_key(key):
-    """Render a sample key as a stable JSON-safe string."""
-    if key is None:
-        return ""
-    if isinstance(key, tuple):
-        return ",".join(str(part) for part in key)
-    return str(key)

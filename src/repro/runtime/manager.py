@@ -17,9 +17,8 @@ every other holder's mode *and* with every earlier still-waiting request
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .modes import combine, compatible
 
 
@@ -93,40 +92,19 @@ _NO_NAMES: frozenset = frozenset()
 
 
 class LockStats:
-    """Lock-manager counters, registry-backed.
+    """Lock-manager counters: sections entered (``acquires``), node grants
+    (``node_acquires``) and refused node attempts (``blocks``)."""
 
-    Attribute reads and writes (``stats.acquires += 1``) keep their
-    historical surface; the values live in a plain dict the registry
-    adopts as the ``lock.events`` counter family, so snapshots and trace
-    exports see them without a second accounting path.
-    """
+    __slots__ = ("acquires", "node_acquires", "blocks")
 
-    __slots__ = ("_values",)
-
-    NAMES = ("acquires", "node_acquires", "blocks")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        values = {name: 0 for name in self.NAMES}
-        object.__setattr__(self, "_values", values)
-        if registry is not None:
-            registry.adopt_counter_dict(
-                "lock.events", values, "kind",
-                help="lock-manager protocol counters")
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return self._values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value: int) -> None:
-        if name not in self._values:
-            raise AttributeError(f"unknown lock counter {name!r}")
-        self._values[name] = value
+    def __init__(self) -> None:
+        self.acquires = 0
+        self.node_acquires = 0
+        self.blocks = 0
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self._values.items())
-        return f"LockStats({inner})"
+        return (f"LockStats(acquires={self.acquires}, "
+                f"node_acquires={self.node_acquires}, blocks={self.blocks})")
 
 
 class LockManager:
@@ -143,8 +121,7 @@ class LockManager:
         # on a node the thread never acquired outlives the section and
         # poisons every later can_grant FIFO check
         self._waiting: Dict[int, Dict[object, LockNode]] = {}
-        self.metrics = MetricsRegistry()
-        self.stats = LockStats(self.metrics)
+        self.stats = LockStats()
 
     def node(self, name: object) -> LockNode:
         existing = self.nodes.get(name)

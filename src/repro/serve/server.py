@@ -18,7 +18,8 @@ immediately with a structured ``backpressure`` error rather than stalling
 the connection.  Each request is bounded by a wall-clock deadline enforced
 cooperatively inside the solver (:mod:`repro.sim.deadline` — the engine's
 worklist polls it), is traced as a ``serve:<req-id>`` wall span, and feeds
-per-kind latency histograms in the server's :class:`MetricsRegistry`.
+the server's per-kind counters and latency histograms, which ``status``
+reports.
 
 ``status``/``flush``/``shutdown`` are O(1) and handled inline on the
 connection thread.  SIGTERM/SIGINT (wired by the CLI) trigger a graceful
@@ -41,7 +42,7 @@ from ..inference.memo import AnalysisMemo
 from ..lang import SourceError
 from ..obs import trace
 from ..obs.events import EventWriter, envelope
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import Histogram
 from ..sim.deadline import DeadlineExceeded, clear_deadline, set_deadline
 from . import protocol
 
@@ -84,20 +85,6 @@ class AnalysisServer:
         self.deadline_s = deadline_s
         self._analyzer = analyzer
 
-        self.metrics = MetricsRegistry()
-        self._latency = self.metrics.histogram(
-            "serve.latency", labels=("kind",),
-            help="request wall-clock latency in seconds")
-        self._requests = self.metrics.counter(
-            "serve.requests", labels=("kind",),
-            help="requests handled, by kind")
-        self._served = self.metrics.counter(
-            "serve.served", labels=("how",),
-            help="analyze responses by provenance (memo/warm/computed)")
-        self._errors = self.metrics.counter(
-            "serve.errors", labels=("code",),
-            help="error responses by protocol error code")
-
         self._events: Optional[EventWriter] = (
             EventWriter(events_path) if events_path else None)
         self._events_lock = threading.Lock()
@@ -112,7 +99,14 @@ class AnalysisServer:
         self._conns_lock = threading.Lock()
         self._shutting_down = threading.Event()
         self._stopped = threading.Event()
-        self._request_count = 0
+        # requests handled by kind, analyze responses by provenance
+        # (memo/warm/computed), error responses by protocol error code,
+        # and request wall-clock latency in seconds by kind; connection
+        # and worker threads update them under the one lock
+        self._requests: Dict[str, int] = {}
+        self._served: Dict[str, int] = {}
+        self._errors: Dict[str, int] = {}
+        self._latency: Dict[str, Histogram] = {}
         self._count_lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------
@@ -194,7 +188,7 @@ class AnalysisServer:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
-        self._emit(envelope("serve-stop", requests=self._request_count,
+        self._emit(envelope("serve-stop", requests=self._request_total(),
                             drained=True))
         if self._events is not None:
             with self._events_lock:
@@ -216,10 +210,13 @@ class AnalysisServer:
         if tracer.enabled:
             tracer.event(record)
 
-    def _bump_requests(self) -> int:
+    def _count(self, table: Dict[str, int], key: str) -> None:
         with self._count_lock:
-            self._request_count += 1
-            return self._request_count
+            table[key] = table.get(key, 0) + 1
+
+    def _request_total(self) -> int:
+        with self._count_lock:
+            return sum(self._requests.values())
 
     def _accept_loop(self) -> None:
         while not self._shutting_down.is_set():
@@ -270,8 +267,7 @@ class AnalysisServer:
                         f"unsupported request {request.get('v')!r}/{kind!r}",
                         started=time.perf_counter())
             return
-        self._bump_requests()
-        self._requests.labels(kind).inc()
+        self._count(self._requests, kind)
         self._emit(envelope("request-start", req=req_id, kind=kind))
         if kind == "analyze":
             if self._shutting_down.is_set():
@@ -304,7 +300,7 @@ class AnalysisServer:
                 started: float, served: str,
                 payload: Dict[str, object]) -> None:
         duration = time.perf_counter() - started
-        self._latency.labels(kind).observe(duration)
+        self._observe(kind, duration)
         self._emit(envelope("request-finish", req=req_id, kind=kind,
                             duration_s=round(duration, 6), served=served))
         self._send(conn, send_lock,
@@ -313,28 +309,54 @@ class AnalysisServer:
     def _error(self, conn, send_lock, req_id: str, kind: str, code: str,
                message: str, started: float) -> None:
         duration = time.perf_counter() - started
-        self._errors.labels(code).inc()
-        self._latency.labels(kind).observe(duration)
+        self._count(self._errors, code)
+        self._observe(kind, duration)
         self._emit(envelope("request-error", req=req_id, kind=kind,
                             error=code, duration_s=round(duration, 6)))
         self._send(conn, send_lock,
                    protocol.error_response(req_id, code, message))
 
+    def _observe(self, kind: str, duration: float) -> None:
+        with self._count_lock:
+            hist = self._latency.get(kind)
+            if hist is None:
+                hist = self._latency[kind] = Histogram()
+            hist.observe(duration)
+
     # -- inline kinds --------------------------------------------------
+
+    def _metrics(self) -> Dict[str, object]:
+        """The status ``metrics`` wire object: per family its ``kind``,
+        its one label's name and ``{label value: value}``."""
+        def family(kind, label, values):
+            return {"kind": kind, "labels": [label], "values": values}
+        with self._count_lock:
+            return {
+                "serve.errors": family("counter", "code",
+                                       dict(self._errors)),
+                "serve.latency": family(
+                    "histogram", "kind",
+                    {key: hist.to_dict()
+                     for key, hist in self._latency.items()}),
+                "serve.requests": family("counter", "kind",
+                                         dict(self._requests)),
+                "serve.served": family("counter", "how",
+                                       dict(self._served)),
+            }
 
     def _status_payload(self) -> Dict[str, object]:
         warm = self._memo.counts()
         return {
             "socket": self.address,
             "pid": os.getpid(),
-            "requests": self._request_count,
+            "requests": self._request_total(),
             "queued": self._queue.qsize(),
             "max_inflight": self.max_inflight,
             "queue_depth": self.queue_depth,
             "warm_fronts": warm["fronts"],
             "warm_results": warm["results"],
             "draining": self._shutting_down.is_set(),
-            "metrics": self.metrics.snapshot(),
+            "metrics": self._metrics(),
         }
 
     def _flush(self) -> Dict[str, object]:
@@ -393,7 +415,7 @@ class AnalysisServer:
                         f"{type(err).__name__}: {err}", started)
             return
         served = payload.pop("served")
-        self._served.labels(served).inc()
+        self._count(self._served, served)
         self._finish(conn, send_lock, req_id, "analyze", started,
                      served=served, payload=payload)
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, List, Optional
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import get_tracer
 from .deadline import CHECK_EVERY_TICKS, check_deadline
 from .policy import RoundRobinPolicy, SchedulingPolicy
@@ -86,33 +85,13 @@ class SimStats:
     per_thread_work: Dict[int, int] = field(default_factory=dict)
     per_thread_blocked: Dict[int, int] = field(default_factory=dict)
     per_thread_failed_tries: Dict[int, int] = field(default_factory=dict)
-    _registry: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False)
     # A blocked thread's share of ``blocked_ticks`` is settled when it
-    # wakes (or at ``publish``), not one dict update per thread per tick:
+    # wakes (or at ``settle``), not one dict update per thread per tick:
     # the clock counts the ticks whose blocked threads have been totalled,
     # and each blocked thread remembers the clock it blocked at.
     _blocked_clock: int = field(default=0, repr=False, compare=False)
     _blocked_since: Dict[int, int] = field(
         default_factory=dict, repr=False, compare=False)
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Adopt the per-thread dicts as labeled counter families.
-
-        The dicts stay the storage, so the scheduler's hot-loop
-        ``per_thread_work[tid] += 1`` increments keep their plain-dict
-        cost; the registry reads them only at snapshot time.
-        """
-        self._registry = registry
-        registry.adopt_counter_dict(
-            "sim.thread.work", self.per_thread_work, "tid",
-            help="work units per simulated thread")
-        registry.adopt_counter_dict(
-            "sim.thread.blocked", self.per_thread_blocked, "tid",
-            help="blocked ticks per simulated thread")
-        registry.adopt_counter_dict(
-            "sim.thread.failed_tries", self.per_thread_failed_tries, "tid",
-            help="failed TRY attempts per simulated thread")
 
     def block(self, tid: int) -> None:
         self._blocked_since[tid] = self._blocked_clock
@@ -121,19 +100,12 @@ class SimStats:
         self.per_thread_blocked[tid] += (
             self._blocked_clock - self._blocked_since.pop(tid))
 
-    def publish(self) -> None:
+    def settle(self) -> None:
         """Settle the threads still blocked (a run that ends in a
-        deadlock, a livelock or a thread's own error leaves some), then
-        mirror the scalar totals into the bound registry's gauges."""
+        deadlock, a livelock or a thread's own error leaves some)."""
         for tid in list(self._blocked_since):
             self.unblock(tid)
             self.block(tid)
-        if self._registry is None:
-            return
-        totals = self._registry.gauge("sim.totals", ("name",),
-                                      help="scheduler run totals")
-        for name in ("ticks", "work_done", "blocked_ticks", "failed_tries"):
-            totals.labels(name).set(getattr(self, name))
 
     @property
     def utilization(self) -> float:
@@ -188,9 +160,7 @@ class Scheduler:
         self.policy = policy if policy is not None else RoundRobinPolicy()
         self.livelock_window = livelock_window
         self.threads: List[SimThread] = []
-        self.metrics = MetricsRegistry()
         self.stats = SimStats(ncores=ncores)
-        self.stats.bind(self.metrics)
         self._live: List[SimThread] = []  # unfinished, in spawn order
         self._blocked: List[SimThread] = []  # the FIFO, in blocking order
         self._stall = 0  # consecutive no-progress ticks with blocked threads
@@ -269,7 +239,7 @@ class Scheduler:
             try:
                 return self._run_loop(tracer)
             finally:
-                self.stats.publish()
+                self.stats.settle()
 
     def _retry(self, thread: SimThread) -> bool:
         """Re-attempt a blocked thread's predicate; True when it woke."""

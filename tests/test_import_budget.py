@@ -34,13 +34,13 @@ FORBIDDEN = (
     "repro.bench", "repro.interp", "repro.stm", "repro.runtime",
     "repro.explore", "repro.serve", "repro.sim.scheduler",
     "repro.inference.diskcache", "repro.inference.reference",
-    "repro.pointer.andersen",
+    "repro.pointer.andersen", "repro.obs.metrics",
     "pickle", "multiprocessing", "concurrent.futures", "socket", "logging",
     "hashlib",
 )
-# 41: every solve walks the call-graph condensation, so ``cfg.callgraph``
-# is part of it (``transform`` loads 41, ``analyze`` 40)
-MAX_REPRO_MODULES = 41
+# 40: every solve walks the call-graph condensation, so ``cfg.callgraph``
+# is part of it (``transform`` loads 40, ``analyze`` 39)
+MAX_REPRO_MODULES = 40
 
 
 def fresh(code, *argv):

@@ -1,28 +1,20 @@
 """Property-based tests for the observability core (`repro.obs`).
 
-Three families of properties pin the algebra the subsystem relies on:
+Two families of properties pin the algebra the subsystem relies on:
 
 * span nesting — for any tree of ``with tracer.span(...)`` blocks executed
   on any number of threads, the recorded intervals of each thread track are
   well-parenthesized: pairwise disjoint or fully nested, never partially
   overlapping;
 * histogram merge — associative and commutative (exact over integer-valued
-  observations, where float addition is exact);
-* counter snapshots — monotone non-decreasing over any sequence of
-  increments, and negative increments are rejected.
+  observations, where float addition is exact).
 """
 
 import threading
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    InvariantError,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Histogram
 from repro.obs.trace import Tracer
 
 
@@ -118,56 +110,3 @@ def test_histogram_merge_associative(a, b, c):
 @given(a=SAMPLES, b=SAMPLES)
 def test_histogram_merge_equals_union(a, b):
     assert _hist(a).merge(_hist(b)) == _hist(a + b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(steps=st.lists(
-    st.tuples(st.sampled_from(("hits", "misses")),
-              st.integers(min_value=0, max_value=100)),
-    max_size=30,
-))
-def test_counter_snapshots_monotone(steps):
-    registry = MetricsRegistry()
-    family = registry.counter("cache", ("kind",))
-    previous = {}
-    for name, amount in steps:
-        family.labels(name).inc(amount)
-        snapshot = registry.snapshot()["cache"]["values"]
-        for key, value in snapshot.items():
-            assert value >= previous.get(key, 0), "counter went down"
-        previous = snapshot
-
-
-def test_counter_rejects_negative_increment():
-    counter = Counter({}, "x")
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
-def test_counter_bundle_rejects_unknown_names():
-    registry = MetricsRegistry()
-    bundle = registry.counter_bundle("engine", ("steps",))
-    bundle["steps"] += 3
-    assert bundle["steps"] == 3
-    with pytest.raises(KeyError):
-        bundle["tpyo"] = 1
-
-
-def test_invariant_violation_raises_in_debug_mode():
-    registry = MetricsRegistry()
-    bundle = registry.counter_bundle("engine", ("misses", "stale", "steps"))
-    registry.add_invariant(
-        "partition",
-        lambda reg: bundle["misses"] + bundle["stale"] == bundle["steps"],
-        lambda reg: f"{bundle['misses']}+{bundle['stale']} "
-                    f"!= {bundle['steps']}",
-    )
-    bundle["misses"] += 2
-    bundle["steps"] += 2
-    assert registry.check_invariants() == []
-    bundle["stale"] += 1  # breaks the partition
-    with pytest.raises(InvariantError):
-        registry.check_invariants()
-    # non-strict mode reports instead of raising (the python -O behavior)
-    failures = registry.check_invariants(strict=False)
-    assert len(failures) == 1 and "partition" in failures[0]

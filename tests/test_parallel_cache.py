@@ -284,11 +284,26 @@ def test_transfer_counters_partition_steps(name):
     # hit, or kernel fallback — the counters partition the steps exactly
     assert (stats["call_transfers"] + stats["mask_hits"]
             + stats["mask_fallbacks"] == stats["dataflow_steps"])
-    engine.metrics.check_invariants()
+    engine.check_partition()
     # the kernel's fast path must actually serve repeat visits
     assert stats["mask_hits"] > 0
     # call nodes are a minority of the steps, and all of them are counted
     assert 0 < stats["call_transfers"] < stats["dataflow_steps"]
+
+
+def test_broken_transfer_partition_fails_the_run(monkeypatch):
+    # every kernel build counts one mask hit no transfer made: the run's
+    # collection point must refuse the counters
+    build_kernel = Engine._build_kernel
+
+    def miscounting(self, *args):
+        self.stats["mask_hits"] += 1
+        return build_kernel(self, *args)
+
+    monkeypatch.setattr(Engine, "_build_kernel", miscounting)
+    source = ALL_BENCHMARKS["vacation"].source
+    with pytest.raises(AssertionError, match="!= dataflow_steps"):
+        LockInference(source, k=9).run()
 
 
 def test_reference_engine_still_counts_raw_steps():
@@ -330,6 +345,44 @@ def test_disk_cache_keys_depend_on_configuration(tmp_path):
             engine.analyze_section(func_name, section)
     assert engine.stats["sections_from_disk"] == 0
     assert engine.stats["summaries_from_disk"] == 0
+
+
+# x and y point to distinct allocations that z merges into one Steensgaard
+# class: the Andersen oracle tells their cells apart, so the two alias
+# oracles infer different lock sets for the same program and k
+SPLIT_BY_ANDERSEN = """
+struct e { e* next; }
+void f(int c) {
+  e* x = new e;
+  e* y = new e;
+  e* z = x;
+  z = y;
+  atomic {
+    x->next = y;
+    e* w = y->next;
+    w->next = null;
+  }
+}
+"""
+
+
+def _alias_locks(alias, cache_dir=None):
+    result = LockInference(SPLIT_BY_ANDERSEN, k=9, alias=alias,
+                           cache_dir=cache_dir).run()
+    return {sid: sorted(map(str, section.locks))
+            for sid, section in result.sections.items()}
+
+
+@pytest.mark.parametrize("first, second", [("steensgaard", "andersen"),
+                                           ("andersen", "steensgaard")])
+def test_disk_cache_keys_depend_on_the_alias_oracle(tmp_path, first, second):
+    cold = {alias: _alias_locks(alias) for alias in (first, second)}
+    assert cold[first] != cold[second]
+    root = str(tmp_path)
+    assert _alias_locks(first, root) == cold[first]
+    # warm-started from the other oracle's entries: its own cold result
+    assert _alias_locks(second, root) == cold[second]
+    assert _alias_locks(first, root) == cold[first]
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,20 @@ def test_release_all_clears_waiter_registrations():
     assert not mgr.node(ROOT).waiters
 
 
+def test_lock_stats_count_grants_and_refusals_only():
+    mgr = LockManager()
+    assert mgr.try_acquire_node(1, ROOT, X)
+    assert not mgr.try_acquire_node(2, ROOT, X)
+    assert not mgr.try_acquire_node(2, ROOT, X)
+    stats = mgr.stats
+    assert (stats.acquires, stats.node_acquires, stats.blocks) == (0, 1, 2)
+    # a misspelt counter is an error, not a new attribute
+    with pytest.raises(AttributeError):
+        stats.block += 1
+    with pytest.raises(AttributeError):
+        stats.blocked = 1
+
+
 def test_release_all_keeps_other_threads_waiters():
     mgr = LockManager()
     assert mgr.try_acquire_node(1, ROOT, S)

@@ -430,6 +430,77 @@ def test_status_reports_warm_state(server):
     assert latency["count"] == 2
 
 
+def test_status_metrics_wire_shape(server):
+    """The status ``metrics`` object is a wire format: four families,
+    each with ``kind``, ``labels`` and ``values``, present even when
+    empty."""
+    with _client(server) as client:
+        empty = client.status()["metrics"]
+        client.analyze(ALL_BENCHMARKS["kmeans"].source, k=0)
+        with pytest.raises(ServeError):
+            client.request("analyze")  # no source: bad-request
+        metrics = client.status()["metrics"]
+    assert list(empty) == ["serve.errors", "serve.latency",
+                           "serve.requests", "serve.served"]
+    assert empty["serve.errors"] == {"kind": "counter", "labels": ["code"],
+                                     "values": {}}
+    assert empty["serve.latency"] == {"kind": "histogram",
+                                      "labels": ["kind"], "values": {}}
+    assert empty["serve.served"]["values"] == {}
+    # the status request counts itself before the snapshot is taken
+    assert empty["serve.requests"]["values"] == {"status": 1}
+    assert list(metrics) == list(empty)
+    assert metrics["serve.errors"] == {
+        "kind": "counter", "labels": ["code"],
+        "values": {"bad-request": 1}}
+    assert metrics["serve.requests"] == {
+        "kind": "counter", "labels": ["kind"],
+        "values": {"status": 2, "analyze": 2}}
+    assert metrics["serve.served"] == {
+        "kind": "counter", "labels": ["how"],
+        "values": {"computed": 1}}
+    latency = metrics["serve.latency"]
+    assert latency["kind"] == "histogram" and latency["labels"] == ["kind"]
+    # status latency is observed after its own snapshot: first status only
+    assert sorted(latency["values"]) == ["analyze", "status"]
+    analyze = latency["values"]["analyze"]
+    assert sorted(analyze) == ["bounds", "count", "counts", "max", "min",
+                               "total"]
+    assert analyze["count"] == 2
+    assert len(analyze["counts"]) == len(analyze["bounds"]) + 1
+    assert latency["values"]["status"]["count"] == 1
+
+
+def test_status_counters_lose_no_concurrent_update(server):
+    """Connection threads bump the shared counters and histograms: under
+    a very short switch interval, no increment may be lost."""
+    threads, per_thread = 4, 100
+
+    def hammer():
+        with _client(server) as client:
+            for _ in range(per_thread):
+                client.status()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    with _client(server) as client:
+        status = client.status()
+    sent = threads * per_thread
+    assert status["requests"] == sent + 1
+    metrics = status["metrics"]
+    assert metrics["serve.requests"]["values"] == {"status": sent + 1}
+    assert metrics["serve.latency"]["values"]["status"]["count"] == sent
+
+
 def test_shutdown_drains_and_event_stream_validates(tmp_path):
     events_path = tmp_path / "events.jsonl"
     server = AnalysisServer(socket_path=str(tmp_path / "s.sock"),
