@@ -10,8 +10,8 @@ Like Table 2, the grid runs through the parallel fault-tolerant executor;
 the JSONL event stream lands at ``results/figure8_events.jsonl`` and the
 result cache makes ``--resume`` re-runs incremental.
 
-Run standalone (``python benchmarks/bench_figure8_scalability.py
-[--jobs N] [--resume]``) or under pytest.
+Run with ``python benchmarks/bench_figure8_scalability.py [--jobs N]
+[--resume] [--ops N]``; it exits 1 if any cell failed.
 """
 
 import argparse
@@ -50,18 +50,6 @@ def regenerate(jobs=1, resume=False, n_ops=N_OPS):
     return series
 
 
-def test_figure8(benchmark):
-    benchmark.group = "figure8"
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    series = benchmark.pedantic(regenerate, kwargs={"jobs": jobs},
-                                rounds=1, iterations=1)
-    for label, per_config in series.items():
-        for config, per_thread in per_config.items():
-            assert None not in per_thread.values(), (
-                f"cell {label}/{config} failed")
-        benchmark.extra_info[label] = per_config
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=None)
@@ -69,9 +57,13 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=N_OPS)
     args = parser.parse_args(argv)
     series = regenerate(jobs=args.jobs, resume=args.resume, n_ops=args.ops)
-    print(figure8(series))
-    print(f"\nevent log: {EVENTS_PATH}")
-    return 0
+    print(f"event log: {EVENTS_PATH}")
+    failed = [f"{label}/{config}" for label, per_config in series.items()
+              for config, per_thread in per_config.items()
+              if None in per_thread.values()]
+    if failed:
+        print(f"failed cells: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

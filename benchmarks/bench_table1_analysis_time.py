@@ -7,19 +7,22 @@ and k=9. We regenerate the same table over the same three program groups;
 the SPEC rows use the synthetic corpus at SPEC_SCALE × the paper's KLoC
 (see DESIGN.md substitutions — absolute sizes are scaled, ordering and the
 k=0 ≪ k=9 growth pattern are the reproduced shape).
+
+Run with ``python benchmarks/bench_table1_analysis_time.py``.
 """
 
-import pytest
+import argparse
+import os
+import sys
 
-from conftest import emit_report
-from repro.bench import ALL_BENCHMARKS
-from repro.bench.programs.spec import spec_sources
-from repro.bench.reporting import table1, table1_row
-from repro.inference import LockInference
+sys.path.insert(0, os.path.dirname(__file__))
+
+from conftest import emit_report  # noqa: E402
+from repro.bench import ALL_BENCHMARKS  # noqa: E402
+from repro.bench.programs.spec import spec_sources  # noqa: E402
+from repro.bench.reporting import table1, table1_row  # noqa: E402
 
 SPEC_SCALE = 0.05  # fraction of the paper's KLoC for the synthetic corpus
-
-_rows = []
 
 
 def _sources():
@@ -29,27 +32,20 @@ def _sources():
     return sources
 
 
-@pytest.mark.parametrize("name,source", sorted(_sources().items()))
-def test_table1_analysis_time(benchmark, name, source):
-    benchmark.group = "table1-analysis"
-    benchmark.name = name
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(
+        argv)
+    rows = [table1_row(name, source)
+            for name, source in sorted(_sources().items())]
+    rows.sort(key=lambda r: -r.kloc)
+    emit_report(
+        "table1",
+        f"Table 1: program size and analysis time "
+        f"(SPEC corpus at {SPEC_SCALE}x paper KLoC)",
+        table1(rows),
+    )
+    return 0
 
-    def analyze():
-        return LockInference(source, k=9).run()
 
-    result = benchmark.pedantic(analyze, rounds=1, iterations=1)
-    row = table1_row(name, source)
-    benchmark.extra_info["kloc"] = row.kloc
-    benchmark.extra_info["sections"] = row.sections
-    benchmark.extra_info["time_k0"] = row.time_k0
-    benchmark.extra_info["time_k9"] = row.time_k9
-    assert result.sections
-    _rows.append(row)
-    if len(_rows) == len(_sources()):
-        _rows.sort(key=lambda r: -r.kloc)
-        emit_report(
-            "table1",
-            f"Table 1: program size and analysis time "
-            f"(SPEC corpus at {SPEC_SCALE}x paper KLoC)",
-            table1(_rows),
-        )
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -16,8 +16,8 @@ genome/kmeans/bayes/hashtable-high, best on labyrinth and the low-contention
 micros; read-only coarse locks ≈ 2x global on the `low` micros; fine locks
 ≈ 2x coarse on hashtable-2-high; coarse ≈ global on the STAMP programs.
 
-Run standalone (``python benchmarks/bench_table2_execution_times.py
-[--jobs N] [--resume] [--ops N]``) or under pytest.
+Run with ``python benchmarks/bench_table2_execution_times.py [--jobs N]
+[--resume] [--threads N] [--ops N]``; it exits 1 if any cell failed.
 """
 
 import argparse
@@ -53,20 +53,6 @@ def regenerate(jobs=1, resume=False, threads=8, n_ops=N_OPS):
     return rows
 
 
-def test_table2(benchmark):
-    benchmark.group = "table2"
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
-    rows = benchmark.pedantic(regenerate, kwargs={"jobs": jobs},
-                              rounds=1, iterations=1)
-    for label, results in rows:
-        for config, result in results.items():
-            assert hasattr(result, "ticks"), (
-                f"cell {label}/{config} failed: {result!r}")
-        benchmark.extra_info[label] = {
-            config: result.ticks for config, result in results.items()
-        }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=None)
@@ -76,9 +62,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rows = regenerate(jobs=args.jobs, resume=args.resume,
                       threads=args.threads, n_ops=args.ops)
-    print(table2(rows))
-    print(f"\nevent log: {EVENTS_PATH}")
-    return 0
+    print(f"event log: {EVENTS_PATH}")
+    failed = [f"{label}/{config}" for label, results in rows
+              for config, result in results.items()
+              if not hasattr(result, "ticks")]
+    if failed:
+        print(f"failed cells: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

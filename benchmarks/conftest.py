@@ -1,18 +1,12 @@
-"""Shared helpers for the benchmark harnesses.
+"""Shared helper for the report scripts.
 
-Each benchmark regenerates one of the paper's tables/figures. The rendered
-report is written to ``benchmarks/results/<name>.txt`` and replayed in the
-terminal summary after the pytest-benchmark tables (pytest's fd-level
-capture would otherwise swallow mid-test prints), so
-``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` records the
-actual tables, not just timings.
+Each ``bench_*.py`` script regenerates one of the paper's tables/figures
+and writes the rendered report to ``benchmarks/results/<name>.txt``.
 """
 
 import os
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-_REPORTS = []
 
 
 def emit_report(name: str, title: str, text: str) -> None:
@@ -20,13 +14,4 @@ def emit_report(name: str, title: str, text: str) -> None:
     path = os.path.join(RESULTS_DIR, f"{name}.txt")
     with open(path, "w") as handle:
         handle.write(text + "\n")
-    _REPORTS.append((title, text))
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _REPORTS:
-        return
-    terminalreporter.ensure_newline()
-    for title, text in _REPORTS:
-        terminalreporter.section(title, sep="=")
-        terminalreporter.write_line(text)
+    print(f"== {title} ==\n{text}\n")

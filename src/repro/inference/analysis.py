@@ -403,7 +403,8 @@ class LockInference:
                 disk = diskcache.open_cache(self.cache_dir, self.program,
                                             pointsto, self.k,
                                             self.use_effects,
-                                            alias=self.alias)
+                                            alias=self.alias,
+                                            specs=self.specs)
             profile.cache_io_time += open_span.duration
         if self.budget is not None:
             self.budget.arm()

@@ -15,13 +15,13 @@ executor's result cells, which live under ``<root>/cells/``):
 The key discipline carries the soundness argument: a bundle/section hit
 requires the whole SCC cone to be byte-identical, so every value that went
 into the cached fixpoint is unchanged; the salt folds in the engine
-configuration (k, effects mode, alias oracle, cache schema version) and a
-whole-program *pointer fingerprint*, so any edit that renumbers Steensgaard
-equivalence classes — class ids appear inside cached coarse emissions and
-locks — conservatively invalidates everything.  An edit that keeps the pointer
-structure intact invalidates exactly the dirty SCC cone: the edited
-function's hash and its (transitive) callers' change, everything below
-stays warm.
+configuration (k, effects mode, alias oracle, external-function specs,
+cache schema version) and a whole-program *pointer fingerprint*, so any
+edit that renumbers Steensgaard equivalence classes — class ids appear
+inside cached coarse emissions and locks — conservatively invalidates
+everything.  An edit that keeps the pointer structure intact invalidates
+exactly the dirty SCC cone: the edited function's hash and its
+(transitive) callers' change, everything below stays warm.
 
 Entries are pickled with the interned-term ``__reduce__`` hooks, so terms
 re-intern on load; writes go through a temp file + ``os.replace`` so
@@ -192,16 +192,22 @@ def pointer_fingerprint(pointsto) -> str:
 
 
 def analysis_salt(pointsto, k: int, use_effects: bool,
-                  alias: str = "steensgaard") -> str:
+                  alias: str = "steensgaard", specs=None) -> str:
     """The per-configuration component of every summary/section key.
 
     *alias* names the alias oracle (``LockInference(alias=...)``): an
     Andersen run can split a Steensgaard class, so the two never share
-    summaries or section lock sets.
+    summaries or section lock sets.  *specs* is the run's
+    :class:`SpecLibrary`: a spec decides what a call to an external
+    function locks, so its digest (specs sorted by name) goes in too;
+    ``None`` and an empty library are one constant token.
     """
+    spec_digest = "none" if not specs else _sha(repr(
+        sorted(specs._specs.values(), key=lambda spec: spec.name)))
     return _sha(
         f"schema={CACHE_SCHEMA};k={k};effects={use_effects};"
-        f"alias={alias};pointer={pointer_fingerprint(pointsto)}"
+        f"alias={alias};specs={spec_digest};"
+        f"pointer={pointer_fingerprint(pointsto)}"
     )
 
 
@@ -561,8 +567,8 @@ class AnalysisDiskCache:
 
 
 def open_cache(root: str, program, pointsto, k: int, use_effects: bool,
-               schedule=None,
-               alias: str = "steensgaard") -> AnalysisDiskCache:
+               schedule=None, alias: str = "steensgaard",
+               specs=None) -> AnalysisDiskCache:
     """Build the cache view for one analysis configuration."""
     if schedule is None:
         schedule = build_schedule(program)
@@ -574,7 +580,7 @@ def open_cache(root: str, program, pointsto, k: int, use_effects: bool,
     return AnalysisDiskCache(
         analysis_root,
         cone_hashes(program, schedule),
-        analysis_salt(pointsto, k, use_effects, alias),
+        analysis_salt(pointsto, k, use_effects, alias, specs),
         schedule,
     )
 

@@ -4,8 +4,8 @@ Three pieces, all stdlib-only:
 
 * :mod:`repro.obs.trace` — a process-global :class:`~repro.obs.trace.Tracer`
   emitting nested spans on the wall clock and the simulator tick clock;
-  compiled to no-ops while disabled (the default; overhead is benchmarked
-  in ``benchmarks/bench_obs.py``);
+  compiled to no-ops while disabled (the default; tick identity with
+  tracing on and off is pinned by ``tests/test_obs_trace.py``);
 * :mod:`repro.obs.metrics` — the fixed-bucket
   :class:`~repro.obs.metrics.Histogram` behind the server's per-kind
   latency (every counter lives on the component that counts it);

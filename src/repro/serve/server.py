@@ -235,8 +235,8 @@ class AnalysisServer:
             while True:
                 try:
                     request = protocol.recv_message(conn)
-                except protocol.ProtocolError:
-                    break
+                except (protocol.ProtocolError, OSError):
+                    break  # torn frame, or the drain closed the socket
                 if request is None:
                     break
                 self._dispatch(conn, send_lock, request)

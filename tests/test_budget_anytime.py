@@ -268,6 +268,30 @@ def test_checkpoints_flush_and_resume_skips_levels(tmp_path):
     assert resumed.lock_counts() == pure.lock_counts()
 
 
+def test_resume_skips_every_checkpointed_level(tmp_path):
+    """At k=9 the rerun resumes from the last cursor, not an earlier one."""
+    cache = str(tmp_path / "cache")
+    source = _resume_source()
+
+    class Abort(RuntimeError):
+        pass
+
+    seen = []
+
+    def bomb(level):
+        seen.append(level)
+        if len(seen) >= 2:
+            raise Abort
+
+    with pytest.raises(Abort):
+        LockInference(source, k=9, cache_dir=cache, checkpoint_every=1,
+                      on_checkpoint=bomb).run()
+    resumed = LockInference(source, k=9, cache_dir=cache,
+                            checkpoint_every=1).run()
+    assert resumed.profile.levels_skipped >= len(seen) == 2
+    assert resumed.describe() == LockInference(source, k=9).run().describe()
+
+
 def test_sigkill_then_resume_is_tick_identical(tmp_path):
     """Kill -9 at a checkpoint boundary; a rerun with the same cache dir
     completes from the cursor and prints byte-identical inference output."""

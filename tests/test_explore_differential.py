@@ -101,6 +101,13 @@ def test_explore_smoke(name):
     assert report.detections == 0, report.describe()
 
 
+@pytest.mark.parametrize("name", sorted(DIFF_CORPUS))
+def test_explore_smoke_random_policy(name):
+    report = explore_program(name, policy="random", seed=0,
+                             schedules=SMOKE_SCHEDULES, threads=3, ops=4)
+    assert report.detections == 0, report.describe()
+
+
 # -- stress sweeps (--runslow) ------------------------------------------------
 
 

@@ -27,12 +27,14 @@ from repro.bench import ALL_BENCHMARKS
 from repro.bench.executor import _cache_path
 from repro.bench.programs.spec import generate_spec_program
 from repro.cfg import build_cfgs, build_schedule, call_graph, tarjan_sccs
-from repro.inference import (Engine, LockInference, ReferenceEngine,
-                             SharedAnalysis, diskcache, open_cache)
+from repro.inference import (Engine, ExternalSpec, LockInference,
+                             ReferenceEngine, SharedAnalysis, SpecLibrary,
+                             diskcache, open_cache)
 from repro.inference.diskcache import cone_hashes
 from repro.inference.solver import SummarySolver
 from repro.lang import ir, lower_program, parse_program
 from repro.pointer import PointsTo
+from tests.test_libspec import SRC as LIBSPEC_SRC
 
 KS = (0, 1, 9)
 
@@ -383,6 +385,26 @@ def test_disk_cache_keys_depend_on_the_alias_oracle(tmp_path, first, second):
     # warm-started from the other oracle's entries: its own cold result
     assert _alias_locks(second, root) == cold[second]
     assert _alias_locks(first, root) == cold[first]
+
+
+def _spec_locks(with_spec, cache_dir=None):
+    specs = SpecLibrary([ExternalSpec("ext_touch", param_effects=("ro",))])
+    result = LockInference(LIBSPEC_SRC, k=9, cache_dir=cache_dir,
+                           specs=specs if with_spec else None).run()
+    return {sid: sorted(map(str, section.locks))
+            for sid, section in result.sections.items()}
+
+
+@pytest.mark.parametrize("first, second", [(False, True), (True, False)],
+                         ids=["nospec-spec", "spec-nospec"])
+def test_disk_cache_keys_depend_on_the_spec_library(tmp_path, first, second):
+    cold = {spec: _spec_locks(spec) for spec in (first, second)}
+    assert cold[first] != cold[second]
+    root = str(tmp_path)
+    assert _spec_locks(first, root) == cold[first]
+    # warm-started from the other library's entries: its own cold result
+    assert _spec_locks(second, root) == cold[second]
+    assert _spec_locks(first, root) == cold[first]
 
 
 # ---------------------------------------------------------------------------

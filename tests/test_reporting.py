@@ -11,8 +11,9 @@ from repro.bench.reporting import (
     table2,
     table2_rows,
 )
-from repro.bench import MICRO_BENCHMARKS
+from repro.bench import ALL_BENCHMARKS, MICRO_BENCHMARKS
 from repro.bench.programs.micro import HASHTABLE2_SRC, RBTREE_SRC
+from tests.test_benchmark_collection import load_report_script
 
 
 def test_table1_row_measures_both_ks():
@@ -36,6 +37,27 @@ def test_figure7_counts_k0_all_coarse():
     assert k0.coarse_ro + k0.coarse_rw > 0
     k9 = counts[9]
     assert k9.fine_ro + k9.fine_rw > 0  # fine locks appear at k=9
+
+
+def test_figure7_shape_over_the_full_corpus():
+    """Figure 7: k=0 is all coarse, k=9 has fine locks, and the counts
+    plateau from k=6 on."""
+    sources = {name: spec.source for name, spec in ALL_BENCHMARKS.items()}
+    counts = figure7_counts(sources, ks=(0, 6, 9))
+    assert counts[0].fine_ro == 0 and counts[0].fine_rw == 0
+    assert counts[9].fine_ro + counts[9].fine_rw > 0
+    assert counts[6].total == counts[9].total
+
+
+def test_ablation_effects_read_locks_shorten_rbtree_low():
+    ablation = load_report_script("bench_ablation_schemes.py")
+    with_effects, without_effects = ablation.effects_ticks(n_ops=12)
+    assert with_effects < without_effects
+
+
+def test_ablation_andersen_never_adds_locks():
+    totals = load_report_script("bench_ablation_schemes.py").alias_totals()
+    assert totals["andersen"] <= totals["steensgaard"]
 
 
 def test_figure7_rendering():

@@ -501,6 +501,8 @@ def test_status_counters_lose_no_concurrent_update(server):
     assert metrics["serve.latency"]["values"]["status"]["count"] == sent
 
 
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
 def test_shutdown_drains_and_event_stream_validates(tmp_path):
     events_path = tmp_path / "events.jsonl"
     server = AnalysisServer(socket_path=str(tmp_path / "s.sock"),
@@ -526,6 +528,37 @@ def test_shutdown_drains_and_event_stream_validates(tmp_path):
     finishes = [r for r in records if r["event"] == "request-finish"]
     assert {f["served"] for f in finishes} <= {"computed", "memo", "warm",
                                                "inline"}
+
+
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+def test_drain_of_an_idle_connection_ends_its_thread_cleanly(tmp_path,
+                                                              monkeypatch):
+    """The drain closes a socket its connection thread is about to read:
+    that read fails with EBADF, which must end the thread like an EOF."""
+    closed = threading.Event()
+    recv_message = protocol.recv_message
+
+    def recv_after_close(sock):
+        closed.wait(timeout=30)
+        return recv_message(sock)
+
+    monkeypatch.setattr(protocol, "recv_message", recv_after_close)
+    server = AnalysisServer(socket_path=str(tmp_path / "s.sock"))
+    server.start()
+    with socket.socket(socket.AF_UNIX) as idle:
+        idle.connect(server.socket_path)
+        deadline = time.monotonic() + 30
+        while not server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        conn_threads = [t for t in threading.enumerate()
+                        if t.name == "serve-conn"]
+        assert server._conns and conn_threads
+        assert server.stop(timeout=30)
+        closed.set()
+        for thread in conn_threads:
+            thread.join(timeout=30)
+    assert not any(t.is_alive() for t in conn_threads)
 
 
 def test_cli_client_unreadable_source_is_exit_2_not_a_traceback(
